@@ -2,12 +2,12 @@
 // Dynamic-batching request front-end — the traffic-facing stage of the
 // plan -> compile -> execute -> serve split.
 //
-// PR 3's BatchExecutor made batched protected inference fast, but callers
-// had to hand-assemble batches; a serving process sees a *stream* of
-// single requests. ServingEngine closes that gap: it owns one thread-safe
-// RequestQueue per registered model (multi-session sharding: model name ->
-// InferencePlan -> InferenceSession -> BatchExecutor) and a scheduler that
-// forms batches under a per-model BatchPolicy.
+// The batched executor makes protected inference fast, but it takes
+// batches; a serving process sees a *stream* of single requests.
+// ServingEngine closes that gap: it owns one thread-safe RequestQueue per
+// registered model (multi-session sharding: model name -> InferencePlan ->
+// InferenceSession -> ContinuousBatch) and a scheduler that forms batches
+// under a per-model BatchPolicy.
 //
 // Two scheduling policies (BatchPolicy::scheduler):
 //   - SchedulerKind::edf (default): every request carries an absolute
@@ -28,19 +28,21 @@
 //     SLO-attainment bench; deadlines are still *tracked* (for the
 //     hit/miss statistics) but never influence scheduling.
 //
-// Orthogonal to the scheduler, BatchPolicy::continuous switches a shard
-// from closed batches to continuous batching: the shard keeps one open
-// ContinuousBatch and admits queued requests into it at layer boundaries
-// (scheduler order, up to max_batch rows in flight) instead of waiting for
-// the previous batch to retire. Retiring rows leave at a boundary too, so
-// their final deferred ABFT reduction hides behind the next admission
-// wave's first GEMM — the cross-batch overlap that closed batches lose at
-// every batch tail.
+// Every shard runs one kind of round: admit a wave of queued requests
+// (scheduler order) into the shard's ContinuousBatch at a layer boundary,
+// advance the batch one layer step, and settle the rows that retired.
+// Orthogonal to the scheduler, BatchPolicy::continuous decides only how
+// many rows a wave may admit. A continuous shard tops its open batch back
+// up to max_batch rows at every boundary instead of waiting for the
+// previous batch to retire; retiring rows leave at a boundary too, so
+// their final deferred ABFT reduction hides behind the next wave's first
+// GEMM — the cross-batch overlap that closed batches lose at every batch
+// tail. A closed shard admits a wave only when idle, so its batch runs
+// exactly what BatchExecutor::run runs: admit all, step until idle.
 //
 // Either way, every submit() returns a future whose SessionResult is
 // exactly — bit for bit — what a standalone InferenceSession::run of that
-// request would produce, because batches are dispatched unmodified to
-// BatchExecutor / ContinuousBatch, whose batch-, order- and
+// request would produce, because ContinuousBatch's batch-, order- and
 // admission-invariance is already CTest-pinned. EDF reordering, shedding,
 // priority classes and mid-flight admission change only *which* requests
 // share executor steps and *when*, never any request's result.
@@ -52,9 +54,9 @@
 //     in this mode (the batcher sleeps in real time; fake timestamps would
 //     turn every due/deadline decision into nonsense).
 //   - stepped (Options::threaded = false): nothing runs until the caller
-//     invokes pump(), which sheds every expired request and dispatches
-//     every batch due at the injected clock's current time, synchronously,
-//     in a deterministic order (most urgent head request first, model name
+//     invokes pump(), which sheds every expired request and runs every
+//     round due at the injected clock's current time, synchronously, in a
+//     deterministic order (most urgent head request first, model name
 //     breaking ties). With a fake clock this makes scheduling decisions
 //     — "3 waiting, max_batch 4, deadline not yet close → no batch" —
 //     unit-testable without real threads or real time.
@@ -130,14 +132,16 @@ struct BatchPolicy {
   /// even when max_delay has not expired. A margin >= the SLO means
   /// "dispatch immediately".
   std::chrono::microseconds dispatch_margin{2000};
-  /// Continuous batching: keep one open ContinuousBatch per shard and
-  /// admit queued requests into it at layer boundaries, up to max_batch
-  /// rows in flight. The hold policy (max_delay / dispatch_margin / full)
-  /// governs only *starting* an idle shard; once rows are in flight,
-  /// queued requests join at the very next boundary capacity allows —
-  /// that immediacy is the point. Retiring rows hand their final deferred
-  /// check to the next wave's first GEMM (cross-batch overlap). Admission
-  /// never changes a served row's SessionResult.
+  /// The shard's admission capacity. false (closed batches): a wave of up
+  /// to max_batch requests is admitted only into an idle batch, which then
+  /// steps until every row retires. true (continuous batching): queued
+  /// requests join the open batch at every layer boundary, up to
+  /// max_batch rows in flight. The hold policy (max_delay /
+  /// dispatch_margin / full) governs only *starting* an idle shard; once
+  /// rows are in flight, queued requests join at the very next boundary
+  /// capacity allows — that immediacy is the point. Retiring rows hand
+  /// their final deferred check to the next wave's first GEMM (cross-batch
+  /// overlap). Admission never changes a served row's SessionResult.
   bool continuous = false;
 };
 
@@ -177,12 +181,10 @@ struct ServedResult {
   /// Exactly what InferenceSession::run(input, {faults}) would return for
   /// this request, bit for bit — output, traces, digests.
   SessionResult session;
-  double queue_us = 0.0;    ///< submit -> batch dispatch (continuous:
-                            ///< submit -> admission into the open batch)
-  double execute_us = 0.0;  ///< dispatch -> batch completion (continuous:
-                            ///< admission -> the request's retirement)
-  /// Size of the dynamically formed batch; continuous: rows in flight
-  /// just after this request's admission wave.
+  double queue_us = 0.0;    ///< submit -> admission into the shard's batch
+  double execute_us = 0.0;  ///< admission -> the request's retirement
+  /// The request's cohort: rows in flight in its shard just after its
+  /// admission wave (a closed shard's whole batch).
   std::int64_t batch_size = 0;
   Priority priority = Priority::standard;
   /// Completion (by the engine clock) happened at or before the request's
@@ -198,6 +200,9 @@ struct PriorityClassStats {
   std::int64_t shed = 0;    ///< futures resolved DeadlineExceeded, unexecuted
   std::int64_t deadline_hits = 0;    ///< completed at or before the deadline
   std::int64_t deadline_misses = 0;  ///< completed late
+  /// Completed requests served with a layer still flagged after
+  /// max_retries (LayerTrace::unrecovered); they count in `completed`.
+  std::int64_t unrecovered = 0;
   /// queue + execute latency of completed requests.
   double latency_us_total = 0.0;
   double latency_us_max = 0.0;
@@ -222,20 +227,21 @@ struct PriorityClassStats {
 struct ServingStats {
   std::int64_t submitted = 0;  ///< requests accepted by submit()
   std::int64_t completed = 0;  ///< requests whose future carries a result
-  std::int64_t failed = 0;  ///< requests whose future carries an executor
-                            ///< error (the batch dispatched but its run
-                            ///< threw; counted in batches + histogram)
+  std::int64_t failed = 0;  ///< requests whose future carries an engine
+                            ///< error (their round threw; their wave is
+                            ///< counted in batches + histogram)
   std::int64_t shed = 0;    ///< requests resolved DeadlineExceeded without
                             ///< ever joining a batch
-  std::int64_t batches = 0;    ///< batches dispatched to executors
-                               ///< (continuous: non-empty admission waves)
+  /// Completed requests served unrecovered (see PriorityClassStats).
+  std::int64_t unrecovered = 0;
+  std::int64_t batches = 0;    ///< non-empty admission waves
   std::int64_t queue_depth = 0;      ///< pending right now, all models
   std::int64_t max_queue_depth = 0;  ///< high-water mark of queue_depth
   std::int64_t deadline_hits = 0;    ///< completions at or before deadline
   std::int64_t deadline_misses = 0;  ///< late completions
-  /// batch_size_hist[b] = number of dispatched batches of size b (index 0
-  /// is always 0; the vector is just long enough for the largest batch).
-  /// Failed batches are counted too — a dispatched batch never vanishes.
+  /// batch_size_hist[b] = number of admission waves of size b (index 0 is
+  /// always 0; the vector is just long enough for the largest wave).
+  /// Failed waves are counted too — a dispatched wave never vanishes.
   std::vector<std::int64_t> batch_size_hist;
   /// Queue-side totals cover completed AND failed requests: a request
   /// that waited and then entered a failing batch still waited, and
@@ -292,19 +298,20 @@ class ServingEngine {
     /// sleeps in real time, so fake timestamps would silently produce
     /// nonsense scheduling.
     ClockFn clock;
-    /// Forwarded to every BatchExecutor::run (parallel execution with
+    /// Options of every shard's ContinuousBatch (parallel execution with
     /// deferred, overlapped verification by default).
     BatchOptions batch;
     /// Observability / admission hook, invoked off-lock just before each
-    /// formed batch executes. An exception thrown here follows the
-    /// executor-failure path: the batch's futures carry the exception and
-    /// its requests count as `failed`. Tests use it to exercise that path.
+    /// non-empty wave is admitted. An exception thrown here fails only
+    /// that wave: its futures carry the exception and its requests count
+    /// as `failed`; rows already in flight are untouched. Tests use it to
+    /// exercise that path.
     std::function<void(const std::string& model, std::int64_t batch_size)>
         on_dispatch;
-    /// Observability hook for continuous admission waves, invoked off-lock
-    /// after each row of a wave joins the shard's open batch (rows
-    /// admitted so far in this wave, wave size). An exception thrown here
-    /// follows the engine-failure path: the open batch is not safely
+    /// Observability hook for admission waves, closed and continuous,
+    /// invoked off-lock after each row of a wave joins the shard's batch
+    /// (rows admitted so far in this wave, wave size). An exception thrown
+    /// here follows the engine-failure path: the batch is not safely
     /// resumable, so every in-flight row *and* the wave's not-yet-admitted
     /// remainder fail with the exception and the shard's batch resets.
     /// Tests use it to exercise that path — it is the only supported way
@@ -323,7 +330,7 @@ class ServingEngine {
 
   /// Registers a model shard: the plan is instantiated into an
   /// InferenceSession (weights + offline checksums) fronted by its own
-  /// BatchExecutor and RequestQueue. Rejects duplicate names and
+  /// ContinuousBatch and RequestQueue. Rejects duplicate names and
   /// degenerate policies.
   void add_model(const std::string& name, InferencePlan plan,
                  const BatchPolicy& policy = {},
@@ -362,19 +369,19 @@ class ServingEngine {
       const std::string& model, Matrix<half_t> input,
       std::vector<SessionFault> faults = {}, const RequestOptions& req = {});
 
-  /// Stepped mode only: sheds every expired request and dispatches every
-  /// batch due at clock() now — most urgent head request first (name
-  /// order breaks ties) — synchronously on the calling thread. A
-  /// continuous shard with rows in flight is stepped round by round until
-  /// it quiesces (its queue drained and every row retired). Returns the
-  /// number of batches (continuous: non-empty admission waves)
-  /// dispatched; sheds and step-only rounds are not batches.
+  /// Stepped mode only: sheds every expired request and runs every round
+  /// due at clock() now — most urgent head request first (name order
+  /// breaks ties) — synchronously on the calling thread. A shard with
+  /// rows in flight is stepped round by round until it quiesces (every
+  /// row retired, and nothing due left in its queue). Returns the number
+  /// of batches (non-empty admission waves) dispatched; sheds and
+  /// step-only rounds are not batches.
   std::size_t pump();
 
   /// Stepped mode only: performs exactly ONE scheduling round — the shed
-  /// pass plus at most one formed batch or continuous round (admission
-  /// wave + single layer step) — and returns the number of rows left in
-  /// flight inside continuous shards. Lets tests interleave submit()
+  /// pass plus at most one shard's round (admission wave + single layer
+  /// step) — and returns the number of rows left in flight in all
+  /// shards. Lets tests interleave submit()
   /// with layer boundaries deterministically: a request submitted
   /// between two pump_step() calls joins mid-flight at the next
   /// boundary, exactly like a late arrival against a threaded engine.
@@ -383,9 +390,10 @@ class ServingEngine {
   /// Blocks until every pending request has been resolved — served, or
   /// (edf, deadline already passed) shed — force-flushing in either mode:
   /// the hold policy (max_delay / dispatch_margin) is waived, max_batch
-  /// still caps each batch. Flushed batches execute on the calling
-  /// thread; in threaded mode the batcher keeps dispatching concurrently
-  /// and drain() additionally waits for its in-flight batches.
+  /// still caps each batch. Flushed rounds run on the calling thread; in
+  /// threaded mode the batcher keeps dispatching concurrently, and
+  /// drain() waits for a round the batcher has in flight instead of
+  /// running one beside it on the same shard.
   void drain();
 
   /// Stops intake (further submits throw), resolves everything still
@@ -410,7 +418,6 @@ class ServingEngine {
     std::string name;
     BatchPolicy policy;
     InferenceSession session;
-    BatchExecutor executor;
     /// fifo: submit order. edf: kept sorted most-urgent-first by
     /// (deadline, priority, seq), so the expired prefix and the next batch
     /// are both pops from the front.
@@ -421,26 +428,25 @@ class ServingEngine {
     /// max_delay aging check O(1) instead of a queue scan.
     std::map<std::uint64_t, Clock::time_point> arrivals;
 
-    /// Continuous mode (BatchPolicy::continuous): the shard's open
-    /// ContinuousBatch — created at its first admission wave — plus the
-    /// bookkeeping of its in-flight rows, keyed by executor row id.
+    /// The shard's batch, which every round admits into and steps, plus
+    /// the bookkeeping of its in-flight rows, keyed by executor row id.
     struct LiveRow {
       Pending request;             ///< promise + deadline bookkeeping
       Clock::time_point admitted;  ///< its admission wave's timestamp
       std::int64_t cohort = 0;     ///< rows in flight just after that wave
     };
-    std::optional<ContinuousBatch> cont;
+    ContinuousBatch batch;
     std::map<std::int64_t, LiveRow> live;
     /// Measured calibration loaded next to the plan artifact (optional;
     /// read-only after registration).
     std::optional<CalibrationTable> calibration;
     /// A thread is running this shard's round (admit + step + settle)
-    /// off-lock and exclusively owns `cont` and `live` until it clears
+    /// off-lock and exclusively owns `batch` and `live` until it clears
     /// the flag; scheduling passes skip the shard meanwhile. The flag is
     /// only read/written under the engine's mu_, which supplies the
     /// happens-before between consecutive owners. (Every Shard field is
-    /// guarded by the owning engine's mu_ — except `session`, `executor`,
-    /// `cont` and `live`, which the round thread owns exclusively while
+    /// guarded by the owning engine's mu_ — except `session`, `batch` and
+    /// `live`, which the round thread owns exclusively while
     /// `stepping` is set. Clang's GUARDED_BY cannot name the enclosing
     /// object's member from a nested struct, so the protocol is enforced
     /// one level up: every ServingEngine method that touches a Shard is
@@ -448,11 +454,11 @@ class ServingEngine {
     bool stepping = false;
 
     Shard(std::string model_name, InferencePlan plan, const BatchPolicy& p,
-          const SessionOptions& sopts)
+          const SessionOptions& sopts, const BatchOptions& bopts)
         : name(std::move(model_name)),
           policy(p),
           session(std::move(plan), sopts),
-          executor(session) {}
+          batch(session, bopts) {}
   };
 
   /// One expired request popped by the shedding pass, with its outcome
@@ -464,13 +470,12 @@ class ServingEngine {
     Pending pending;
   };
 
-  /// One scheduling pass's output: at most one formed batch — or, for a
-  /// continuous shard, one admission wave (possibly empty: a step-only
-  /// round that advances the in-flight rows) — plus every request shed
-  /// (possibly from several shards) during the pass.
+  /// One scheduling pass's output: at most one shard's admission wave
+  /// (possibly empty: a step-only round that advances the in-flight rows)
+  /// plus every request shed (possibly from several shards) during the
+  /// pass.
   struct Formed {
     Shard* shard = nullptr;
-    bool continuous = false;
     std::vector<Pending> requests;
     std::vector<Shed> shed;
   };
@@ -485,21 +490,22 @@ class ServingEngine {
   [[nodiscard]] Clock::time_point next_due_locked(const Shard& shard) const
       AIFT_REQUIRES(mu_);
 
-  /// Sheds every expired request on every edf shard, then pops the next
-  /// due batch in urgency order (edf: earliest deadline, priority, seq;
-  /// fifo: oldest head request), or leaves Formed::shard null. `force`
+  /// Sheds every expired request on every edf shard, then picks the most
+  /// urgent due shard (edf: earliest deadline, priority, seq; fifo:
+  /// oldest head request), pops the wave its admission capacity allows
+  /// and marks it `stepping` — or leaves Formed::shard null. `force`
   /// waives the hold policy (drain/shutdown). Caller holds mu_.
   Formed form_due_locked(Clock::time_point at, bool force)
       AIFT_REQUIRES(mu_);
 
   struct DispatchOutcome {
-    bool any = false;    ///< something happened (a batch and/or sheds)
-    bool batch = false;  ///< a batch was executed
+    bool any = false;    ///< something happened (a round and/or sheds)
+    bool batch = false;  ///< a non-empty wave was admitted
   };
 
   /// One scheduling pass shared by pump()/drain()/batcher_loop(): forms
-  /// under the lock, then releases it to resolve sheds and execute the
-  /// batch, reacquiring before returning. AIFT_REQUIRES(mu_) states the
+  /// under the lock, then releases it to resolve sheds and run the round,
+  /// reacquiring before returning. AIFT_REQUIRES(mu_) states the
   /// lock-passing contract (`lock` must own mu_ on entry and owns it
   /// again on return), so call sites are fully checked; the suppression
   /// is narrowly scoped to the body, whose unlock/relock dance on a
@@ -515,15 +521,13 @@ class ServingEngine {
   /// form_due_locked, so a waiter that wakes sees them counted).
   void resolve_shed(std::vector<Shed> shed) AIFT_EXCLUDES(mu_);
 
-  /// Executes a formed batch and fulfills its promises. Called with mu_
-  /// released; takes mu_ only to update stats.
-  void execute_batch(Formed formed) AIFT_EXCLUDES(mu_);
-
-  /// Runs one continuous round: admits the wave into the shard's open
+  /// Runs one round of any shard: admits the wave into the shard's
   /// ContinuousBatch, advances it one layer step, and settles every row
-  /// that retired (fulfilling promises + stats). Called with mu_
-  /// released and the shard's `stepping` flag held.
-  void continuous_round(Formed formed) AIFT_EXCLUDES(mu_);
+  /// that retired (stats, then promises). On a throw it settles the rows
+  /// in flight and the wave's unadmitted tail with the error instead.
+  /// Called with mu_ released and the shard's `stepping` flag held;
+  /// takes mu_ only to update stats.
+  void run_round(Formed formed) AIFT_EXCLUDES(mu_);
 
   [[nodiscard]] std::int64_t pending_locked() const AIFT_REQUIRES(mu_);
   void batcher_loop();
@@ -535,7 +539,7 @@ class ServingEngine {
   std::map<std::string, std::unique_ptr<Shard>> shards_ AIFT_GUARDED_BY(mu_);
   ServingStats stats_ AIFT_GUARDED_BY(mu_);
   std::uint64_t next_seq_ AIFT_GUARDED_BY(mu_) = 0;
-  /// Batches currently executing.
+  /// Rounds currently executing.
   std::int64_t in_flight_ AIFT_GUARDED_BY(mu_) = 0;
   /// Sheds popped from a queue whose DeadlineExceeded promise has not
   /// been set yet (resolution happens off-lock): drain() counts them as

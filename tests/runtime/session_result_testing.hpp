@@ -18,21 +18,36 @@ inline FaultSpec big_fault(std::int64_t row = 0, std::int64_t col = 0) {
   return FaultSpec{row, col, /*k8_step=*/-1, /*xor_bits=*/0x20000000u};
 }
 
-inline void expect_identical(const SessionResult& got,
-                             const SessionResult& want,
-                             const std::string& context) {
-  EXPECT_TRUE(got.output == want.output) << context << ": output differs";
-  ASSERT_EQ(got.layers.size(), want.layers.size()) << context;
+// Empty when the results agree bit for bit — output, and every traced
+// field of every layer — else the first difference.
+inline std::string result_diff(const SessionResult& got,
+                               const SessionResult& want) {
+  if (!(got.output == want.output)) return "output differs";
+  if (got.layers.size() != want.layers.size()) {
+    return "layer count " + std::to_string(got.layers.size()) + " != " +
+           std::to_string(want.layers.size());
+  }
   for (std::size_t i = 0; i < got.layers.size(); ++i) {
     const auto& g = got.layers[i];
     const auto& w = want.layers[i];
-    EXPECT_EQ(g.name, w.name) << context << " layer " << i;
-    EXPECT_EQ(g.scheme, w.scheme) << context << " layer " << i;
-    EXPECT_EQ(g.executions, w.executions) << context << " layer " << i;
-    EXPECT_EQ(g.detections, w.detections) << context << " layer " << i;
-    EXPECT_EQ(g.unrecovered, w.unrecovered) << context << " layer " << i;
-    EXPECT_EQ(g.output_digest, w.output_digest) << context << " layer " << i;
+    const std::string layer = "layer " + std::to_string(i) + " ";
+    if (g.name != w.name) return layer + "name differs";
+    if (g.scheme != w.scheme) return layer + "scheme differs";
+    if (g.executions != w.executions) return layer + "executions differ";
+    if (g.detections != w.detections) return layer + "detections differ";
+    if (g.unrecovered != w.unrecovered) return layer + "unrecovered differs";
+    if (g.output_digest != w.output_digest) {
+      return layer + "output_digest differs";
+    }
   }
+  return {};
+}
+
+inline void expect_identical(const SessionResult& got,
+                             const SessionResult& want,
+                             const std::string& context) {
+  const std::string diff = result_diff(got, want);
+  EXPECT_TRUE(diff.empty()) << context << ": " << diff;
 }
 
 }  // namespace aift

@@ -10,8 +10,8 @@
 // (Options::on_admit) and shutdown. After every operation it checks:
 //
 //  - the ledger: submitted == completed + failed + shed + queue_depth +
-//    rows in flight, and each counter equals the number of futures that
-//    resolved that way;
+//    rows in flight, and each counter (unrecovered included) equals the
+//    number of futures that resolved that way;
 //  - the batch counters: the histogram holds one entry per non-empty wave,
 //    and its sizes add up to every request that entered a wave;
 //  - every resolved future carries a typed outcome: a result bit-identical
@@ -232,23 +232,6 @@ std::pair<Config, std::vector<Op>> generate(std::uint64_t seed) {
   return {cfg, std::move(ops)};
 }
 
-// Empty when the results agree bit for bit, else what differs.
-std::string diff(const SessionResult& got, const SessionResult& want) {
-  if (!(got.output == want.output)) return "output differs";
-  if (got.layers.size() != want.layers.size()) return "layer count differs";
-  for (std::size_t i = 0; i < got.layers.size(); ++i) {
-    const LayerTrace& g = got.layers[i];
-    const LayerTrace& w = want.layers[i];
-    if (g.name != w.name || g.scheme != w.scheme ||
-        g.executions != w.executions || g.detections != w.detections ||
-        g.unrecovered != w.unrecovered ||
-        g.output_digest != w.output_digest) {
-      return "layer " + std::to_string(i) + " trace differs";
-    }
-  }
-  return {};
-}
-
 struct Tracked {
   std::future<ServedResult> future;
   int model = 0;
@@ -264,6 +247,7 @@ struct Tally {
   std::int64_t completed = 0;
   std::int64_t failed = 0;
   std::int64_t shed = 0;
+  std::int64_t unrecovered = 0;  ///< completed with a layer still flagged
 };
 
 // Consumes every newly resolved future and checks the engine's counters
@@ -286,8 +270,9 @@ std::string check(const ServingEngine& engine, std::vector<Tracked>& tracked,
     try {
       const ServedResult served = t.future.get();
       ++tally.completed;
+      if (!served.session.recovered()) ++tally.unrecovered;
       const std::string d =
-          diff(served.session, s.refs[t.model][t.input][t.faults]);
+          result_diff(served.session, s.refs[t.model][t.input][t.faults]);
       if (!d.empty()) return who + ": served result not bit-identical: " + d;
       if (served.deadline_met != (now <= t.deadline)) {
         return who + ": deadline_met disagrees with the clock";
@@ -320,10 +305,12 @@ std::string check(const ServingEngine& engine, std::vector<Tracked>& tracked,
     err << "submitted " << st.submitted << " != " << tracked.size()
         << " submits";
   } else if (st.completed != tally.completed || st.failed != tally.failed ||
-             st.shed != tally.shed) {
+             st.shed != tally.shed || st.unrecovered != tally.unrecovered) {
     err << "counters (completed " << st.completed << ", failed " << st.failed
-        << ", shed " << st.shed << ") disagree with the futures ("
-        << tally.completed << ", " << tally.failed << ", " << tally.shed << ")";
+        << ", shed " << st.shed << ", unrecovered " << st.unrecovered
+        << ") disagree with the futures (" << tally.completed << ", "
+        << tally.failed << ", " << tally.shed << ", " << tally.unrecovered
+        << ")";
   } else if (unresolved != st.queue_depth + in_flight) {
     err << unresolved << " unresolved futures, but queue_depth "
         << st.queue_depth << " + in flight " << in_flight;
@@ -469,6 +456,7 @@ std::string run_sequence(const Config& cfg, const std::vector<Op>& ops,
     outcomes->completed += tally.completed;
     outcomes->failed += tally.failed;
     outcomes->shed += tally.shed;
+    outcomes->unrecovered += tally.unrecovered;
   }
   return {};
 }
@@ -518,11 +506,15 @@ TEST(ScheduleExplorer, SeededSchedulesKeepEveryInvariant) {
   EXPECT_GT(outcomes.completed, 0);
   EXPECT_GT(outcomes.failed, 0);
   EXPECT_GT(outcomes.shed, 0);
-  std::printf("explored %llu sequences: %lld served, %lld failed, %lld shed\n",
-              static_cast<unsigned long long>(budget),
-              static_cast<long long>(outcomes.completed),
-              static_cast<long long>(outcomes.failed),
-              static_cast<long long>(outcomes.shed));
+  EXPECT_GT(outcomes.unrecovered, 0);
+  std::printf(
+      "explored %llu sequences: %lld served (%lld unrecovered), %lld failed, "
+      "%lld shed\n",
+      static_cast<unsigned long long>(budget),
+      static_cast<long long>(outcomes.completed),
+      static_cast<long long>(outcomes.unrecovered),
+      static_cast<long long>(outcomes.failed),
+      static_cast<long long>(outcomes.shed));
 }
 
 // The generator reaches every operation kind and both shards, so the

@@ -687,6 +687,120 @@ TEST_F(ServingTest, FailedBatchStillRecordsQueuePressure) {
   expect_reconciled(stats);
 }
 
+// A closed batch runs through the same admission path as a continuous
+// wave, so on_admit fires for it too. A throw mid-admission fails the
+// whole wave — the admitted rows and the unadmitted tail — counts it once,
+// and resets the shard's batch so the next batch is served bit-identically.
+TEST_F(ServingTest, ClosedWaveAdmissionFailureFailsTheWholeWave) {
+  ManualClock clock;
+  bool fail = true;
+  std::vector<std::int64_t> wave_sizes;
+  ServingEngine::Options opts = stepped_options(clock);
+  opts.on_admit = [&](const std::string& model, std::int64_t admitted,
+                      std::int64_t wave_size) {
+    if (admitted == 1) wave_sizes.push_back(wave_size);
+    if (fail && admitted == 2) {
+      throw std::runtime_error("injected admission failure in " + model);
+    }
+  };
+  ServingEngine engine(std::move(opts));
+  BatchPolicy policy;
+  policy.scheduler = SchedulerKind::fifo;
+  policy.max_batch = 3;
+  engine.add_model("dlrm", plan(), policy);
+  const auto& session = engine.session("dlrm");
+
+  std::vector<std::future<ServedResult>> doomed;
+  for (int r = 0; r < 3; ++r) {
+    doomed.push_back(engine.submit("dlrm", session.make_input(70 + r)));
+  }
+  clock.advance(microseconds(400));
+  EXPECT_EQ(engine.pump(), 1u);
+  for (auto& f : doomed) EXPECT_THROW((void)f.get(), std::runtime_error);
+
+  const ServingStats failed = engine.stats();
+  EXPECT_EQ(failed.submitted, 3);
+  EXPECT_EQ(failed.completed, 0);
+  EXPECT_EQ(failed.failed, 3);
+  EXPECT_EQ(failed.batches, 1);
+  ASSERT_EQ(failed.batch_size_hist.size(), 4u);
+  EXPECT_EQ(failed.batch_size_hist[3], 1);
+  EXPECT_EQ(failed.by_priority[priority_index(Priority::standard)].failed, 3);
+  EXPECT_DOUBLE_EQ(failed.queue_us_total, 1200.0);  // every wait counted
+  expect_reconciled(failed);
+
+  fail = false;
+  std::vector<std::future<ServedResult>> served;
+  const std::vector<SessionFault> faults = {SessionFault{1, big_fault(), 0}};
+  for (int r = 0; r < 3; ++r) {
+    std::vector<SessionFault> request_faults;
+    if (r == 1) request_faults = faults;
+    served.push_back(
+        engine.submit("dlrm", session.make_input(80 + r), request_faults));
+  }
+  EXPECT_EQ(engine.pump(), 1u);
+  for (int r = 0; r < 3; ++r) {
+    SessionRunOptions run_opts;
+    if (r == 1) run_opts.faults = faults;
+    const ServedResult result = served[static_cast<std::size_t>(r)].get();
+    EXPECT_EQ(result.batch_size, 3);
+    expect_identical(result.session,
+                     session.run(session.make_input(80 + r), run_opts),
+                     "post-failure row " + std::to_string(r));
+  }
+  EXPECT_EQ(wave_sizes, (std::vector<std::int64_t>{3, 3}));
+  const ServingStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.failed, 3);
+  EXPECT_EQ(stats.batches, 2);
+  expect_reconciled(stats);
+}
+
+// A row still flagged after max_retries is served as completed — the
+// ledger does not change — but counted as unrecovered, engine-wide and
+// in its priority class, on closed and continuous shards alike.
+TEST_F(ServingTest, UnrecoveredResultsAreCounted) {
+  for (const bool continuous : {false, true}) {
+    SCOPED_TRACE(continuous ? "continuous" : "closed");
+    ManualClock clock;
+    ServingEngine engine(stepped_options(clock));
+    BatchPolicy policy;
+    policy.continuous = continuous;
+    policy.max_delay = microseconds(0);
+    engine.add_model("dlrm", plan(), policy);
+    const auto& session = engine.session("dlrm");
+
+    std::vector<SessionFault> every_attempt;
+    for (int a = 0; a <= session.options().max_retries; ++a) {
+      every_attempt.push_back(SessionFault{1, big_fault(), a});
+    }
+    RequestOptions bulk;
+    bulk.priority = Priority::bulk;
+    auto clean = engine.submit("dlrm", session.make_input(90));
+    auto stuck = engine.submit("dlrm", session.make_input(91), every_attempt,
+                               bulk);
+    EXPECT_EQ(engine.pump(), 1u);
+
+    const ServedResult served = stuck.get();
+    EXPECT_TRUE(served.session.layers[1].unrecovered);
+    SessionRunOptions run_opts;
+    run_opts.faults = every_attempt;
+    expect_identical(served.session,
+                     session.run(session.make_input(91), run_opts),
+                     "unrecovered row");
+    EXPECT_TRUE(clean.get().session.recovered());
+
+    const ServingStats stats = engine.stats();
+    EXPECT_EQ(stats.completed, 2);
+    EXPECT_EQ(stats.unrecovered, 1);
+    EXPECT_EQ(stats.by_priority[priority_index(Priority::bulk)].unrecovered,
+              1);
+    EXPECT_EQ(
+        stats.by_priority[priority_index(Priority::standard)].unrecovered, 0);
+    expect_reconciled(stats);
+  }
+}
+
 // Comma decimal point + dot thousands grouping, as a custom facet so the
 // test needs no system locale installed (the table suite's idiom).
 class CommaNumpunct : public std::numpunct<char> {
