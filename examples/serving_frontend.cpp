@@ -3,7 +3,7 @@
 //
 //   1. compile two models once and register them as shards of one
 //      ServingEngine (multi-session sharding: each model gets its own
-//      InferenceSession + BatchExecutor behind a shared request queue),
+//      InferenceSession + ContinuousBatch behind a shared request queue),
 //      both under the EDF scheduler with a per-model default SLO;
 //   2. fire a burst of interleaved single requests from client threads in
 //      two priority classes — interactive traffic carries a tight

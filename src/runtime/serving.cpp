@@ -398,7 +398,8 @@ void ServingEngine::run_round(Formed formed) {
       request.input = std::move(pending.input);
       request.faults = std::move(pending.faults);
       const std::int64_t id = shard.batch.admit(std::move(request));
-      shard.live.emplace(id, Shard::LiveRow{std::move(pending), admitted_at});
+      shard.live.emplace(id,
+                         Shard::LiveRow{std::move(pending), admitted_at, 0});
       wave_ids.push_back(id);
       ++admitted;
       if (opts_.on_admit) {
@@ -426,14 +427,15 @@ void ServingEngine::run_round(Formed formed) {
   };
   std::vector<Settled> settled;
   const auto settle = [&](Shard::LiveRow row, SessionResult session) {
-    Settled s{std::move(row.request.promise), ServedResult{}};
-    s.served.session = std::move(session);
-    s.served.queue_us = us_between(row.request.enqueued, row.admitted);
-    s.served.execute_us = us_between(row.admitted, finished_at);
-    s.served.batch_size = row.cohort;
-    s.served.priority = row.request.priority;
-    s.served.deadline_met = finished_at <= row.request.deadline;
-    settled.push_back(std::move(s));
+    ServedResult served;
+    served.session = std::move(session);
+    served.queue_us = us_between(row.request.enqueued, row.admitted);
+    served.execute_us = us_between(row.admitted, finished_at);
+    served.batch_size = row.cohort;
+    served.priority = row.request.priority;
+    served.deadline_met = finished_at <= row.request.deadline;
+    settled.push_back(
+        Settled{std::move(row.request.promise), std::move(served)});
   };
   if (error) {
     if (batch_touched) {
@@ -446,7 +448,8 @@ void ServingEngine::run_round(Formed formed) {
     // their callers hang and submitted == completed + failed + shed +
     // queue_depth stops reconciling.
     for (std::size_t r = admitted; r < formed.requests.size(); ++r) {
-      settle(Shard::LiveRow{std::move(formed.requests[r]), admitted_at}, {});
+      settle(Shard::LiveRow{std::move(formed.requests[r]), admitted_at, 0},
+             {});
     }
   } else {
     for (auto& [id, session] : retired) {
