@@ -216,12 +216,12 @@ std::future<ServedResult> ServingEngine::submit(
   return future;
 }
 
-std::int64_t ServingEngine::pending_locked() const {
-  std::int64_t n = 0;
+bool ServingEngine::idle_locked() const {
+  if (shed_unresolved_ != 0) return false;
   for (const auto& [name, shard] : shards_) {
-    n += static_cast<std::int64_t>(shard->queue.size());
+    if (shard->stepping || !shard->queue.empty()) return false;
   }
-  return n;
+  return true;
 }
 
 ServingEngine::Clock::time_point ServingEngine::next_due_locked(
@@ -364,7 +364,6 @@ ServingEngine::DispatchOutcome ServingEngine::dispatch_due(
   // so `formed` is provably empty here — there is no promise to drop.
   // aift-analyze: allow(promise-ledger)
   if (!outcome.any) return outcome;
-  if (execute) ++in_flight_;
   lock.unlock();
   std::vector<Shed> shed = std::move(formed.shed);
   formed.shed.clear();
@@ -502,7 +501,6 @@ void ServingEngine::run_round(Formed formed) {
       cls.latency_us_max = std::max(cls.latency_us_max, latency);
     }
     shard.stepping = false;
-    --in_flight_;
   }
 
   for (auto& s : settled) {
@@ -546,19 +544,17 @@ std::int64_t ServingEngine::pump_step() {
 }
 
 void ServingEngine::drain() {
-  // Mode-independent: steal force-flushed batches onto the calling thread
+  // Mode-independent: steal force-flushed rounds onto the calling thread
   // (the hold policy is waived, max_batch still caps each batch; expired
-  // edf requests shed), then wait for any batch another thread still has
+  // edf requests shed), then wait for any round another thread still has
   // in flight — or any shed another thread popped but has not yet
   // resolved (shed_unresolved_: those futures are no longer pending but
-  // not yet settled either).
+  // not yet settled either). A shard with rows in flight and no round
+  // running is always due, so once nothing is due, idle means settled.
   UniqueLock lock(mu_);
   for (;;) {
     if (!dispatch_due(lock, /*force=*/true).any) {
-      if (in_flight_ == 0 && shed_unresolved_ == 0 &&
-          pending_locked() == 0) {
-        return;
-      }
+      if (idle_locked()) return;
       idle_cv_.wait(lock.native());
     }
   }

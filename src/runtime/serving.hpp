@@ -529,7 +529,9 @@ class ServingEngine {
   /// takes mu_ only to update stats.
   void run_round(Formed formed) AIFT_EXCLUDES(mu_);
 
-  [[nodiscard]] std::int64_t pending_locked() const AIFT_REQUIRES(mu_);
+  /// No request queued, no round running and no shed left unresolved on
+  /// any shard. Caller holds mu_.
+  [[nodiscard]] bool idle_locked() const AIFT_REQUIRES(mu_);
   void batcher_loop();
 
   Options opts_;
@@ -539,8 +541,6 @@ class ServingEngine {
   std::map<std::string, std::unique_ptr<Shard>> shards_ AIFT_GUARDED_BY(mu_);
   ServingStats stats_ AIFT_GUARDED_BY(mu_);
   std::uint64_t next_seq_ AIFT_GUARDED_BY(mu_) = 0;
-  /// Rounds currently executing.
-  std::int64_t in_flight_ AIFT_GUARDED_BY(mu_) = 0;
   /// Sheds popped from a queue whose DeadlineExceeded promise has not
   /// been set yet (resolution happens off-lock): drain() counts them as
   /// outstanding work, or it could return before a shed future settles.
