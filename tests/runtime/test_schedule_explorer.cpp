@@ -151,6 +151,7 @@ enum class OpKind {
   fail_admit,
   shutdown,
 };
+constexpr int kOpKinds = static_cast<int>(OpKind::shutdown) + 1;
 
 struct Op {
   OpKind kind = OpKind::pump;
@@ -492,8 +493,14 @@ std::uint64_t seed_budget() {
 TEST(ScheduleExplorer, SeededSchedulesKeepEveryInvariant) {
   const std::uint64_t budget = seed_budget();
   Tally outcomes;
+  int kinds[kOpKinds] = {};
+  int models[kModels] = {};
   for (std::uint64_t seed = 0; seed < budget; ++seed) {
     const auto [cfg, ops] = generate(seed);
+    for (const Op& op : ops) {
+      ++kinds[static_cast<int>(op.kind)];
+      if (op.kind == OpKind::submit) ++models[op.model];
+    }
     const std::string err = run_sequence(cfg, ops, &outcomes);
     if (err.empty()) continue;
     const std::vector<Op> minimal = shrink(cfg, ops);
@@ -502,7 +509,12 @@ TEST(ScheduleExplorer, SeededSchedulesKeepEveryInvariant) {
            << "); replay:\n"
            << replayable(cfg, minimal);
   }
-  // The budget reaches every outcome class, not only served results.
+  // The budget reaches every operation, both shards and every outcome
+  // class, not only served results.
+  for (int k = 0; k < kOpKinds; ++k) {
+    EXPECT_GT(kinds[k], 0) << kind_name(static_cast<OpKind>(k));
+  }
+  for (int m = 0; m < kModels; ++m) EXPECT_GT(models[m], 0) << kModelNames[m];
   EXPECT_GT(outcomes.completed, 0);
   EXPECT_GT(outcomes.failed, 0);
   EXPECT_GT(outcomes.shed, 0);
@@ -515,28 +527,6 @@ TEST(ScheduleExplorer, SeededSchedulesKeepEveryInvariant) {
       static_cast<long long>(outcomes.unrecovered),
       static_cast<long long>(outcomes.failed),
       static_cast<long long>(outcomes.shed));
-}
-
-// The generator reaches every operation kind and both shards, so the
-// budget above is not spent on a corner of the schedule space.
-TEST(ScheduleExplorer, GeneratorCoversEveryOperation) {
-  int kinds[7] = {};
-  int models[kModels] = {};
-  int fault_sets[kFaultSets] = {};
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    for (const Op& op : generate(seed).second) {
-      ++kinds[static_cast<int>(op.kind)];
-      if (op.kind == OpKind::submit) {
-        ++models[op.model];
-        ++fault_sets[op.faults];
-      }
-    }
-  }
-  for (int k = 0; k < 7; ++k) {
-    EXPECT_GT(kinds[k], 0) << kind_name(static_cast<OpKind>(k));
-  }
-  for (int m = 0; m < kModels; ++m) EXPECT_GT(models[m], 0) << m;
-  for (int f = 0; f < kFaultSets; ++f) EXPECT_GT(fault_sets[f], 0) << f;
 }
 
 }  // namespace
