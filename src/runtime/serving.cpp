@@ -500,7 +500,6 @@ void ServingEngine::run_round(Formed formed) {
       cls.latency_us_total += latency;
       cls.latency_us_max = std::max(cls.latency_us_max, latency);
     }
-    shard.stepping = false;
   }
 
   for (auto& s : settled) {
@@ -511,8 +510,14 @@ void ServingEngine::run_round(Formed formed) {
     }
   }
 
-  // The round is over: wake the batcher (it skipped this shard while
-  // stepping) and any drain()/shutdown() waiter.
+  // The round is over only now that its futures are settled: a drain()
+  // that sees the shard idle may return, and its caller may read them.
+  // Wake the batcher (it skipped this shard while stepping) and any
+  // drain()/shutdown() waiter.
+  {
+    MutexLock lock(mu_);
+    shard.stepping = false;
+  }
   work_cv_.notify_one();
   idle_cv_.notify_all();
 }

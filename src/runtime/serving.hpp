@@ -442,7 +442,9 @@ class ServingEngine {
     std::optional<CalibrationTable> calibration;
     /// A thread is running this shard's round (admit + step + settle)
     /// off-lock and exclusively owns `batch` and `live` until it clears
-    /// the flag; scheduling passes skip the shard meanwhile. The flag is
+    /// the flag, which it does only after the round's futures are
+    /// settled; scheduling passes skip the shard meanwhile, and drain()
+    /// does not count the shard idle. The flag is
     /// only read/written under the engine's mu_, which supplies the
     /// happens-before between consecutive owners. (Every Shard field is
     /// guarded by the owning engine's mu_ — except `session`, `batch` and

@@ -997,6 +997,37 @@ TEST_F(ServingTest, DrainRacingSubmitResolvesEveryRequest) {
   expect_reconciled(stats);
 }
 
+// drain() returns only once every request submitted before it has a
+// settled future — also when the batcher thread, not drain(), ran the
+// round that served it, and whichever shard kind served it.
+TEST_F(ServingTest, DrainReturnsOnlyAfterEveryFutureIsSettled) {
+  ServingEngine engine;  // threaded, real clock
+  for (const bool continuous : {false, true}) {
+    BatchPolicy policy;
+    policy.continuous = continuous;
+    policy.max_batch = 2;
+    policy.max_delay = microseconds(0);
+    policy.default_slo = std::chrono::seconds(30);  // nothing may shed
+    engine.add_model(continuous ? "continuous" : "closed", plan(), policy);
+  }
+  const auto& session = engine.session("closed");
+  for (int burst = 0; burst < 200; ++burst) {
+    std::vector<std::future<ServedResult>> futures;
+    for (int r = 0; r < 3; ++r) {
+      for (const char* model : {"closed", "continuous"}) {
+        futures.push_back(engine.submit(model, session.make_input(r)));
+      }
+    }
+    engine.drain();
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "burst " << burst;
+    }
+  }
+  expect_reconciled(engine.stats());
+}
+
 // ----------------------------------------------- lifecycle & validation --
 
 TEST_F(ServingTest, ShutdownDrainsPendingRequests) {
