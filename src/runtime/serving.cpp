@@ -390,24 +390,21 @@ void ServingEngine::run_round(Formed formed) {
       opts_.on_dispatch(shard.name, wave_size);
     }
     batch_touched = true;
-    std::vector<std::int64_t> wave_ids;
-    wave_ids.reserve(formed.requests.size());
+    const std::int64_t cohort =
+        static_cast<std::int64_t>(shard.live.size()) + wave_size;
     for (auto& pending : formed.requests) {
       BatchRequest request;
       request.input = std::move(pending.input);
       request.faults = std::move(pending.faults);
       const std::int64_t id = shard.batch.admit(std::move(request));
-      shard.live.emplace(id,
-                         Shard::LiveRow{std::move(pending), admitted_at, 0});
-      wave_ids.push_back(id);
+      shard.live.emplace(
+          id, Shard::LiveRow{std::move(pending), admitted_at, cohort});
       ++admitted;
       if (opts_.on_admit) {
         opts_.on_admit(shard.name, static_cast<std::int64_t>(admitted),
                        wave_size);
       }
     }
-    const auto cohort = static_cast<std::int64_t>(shard.live.size());
-    for (const std::int64_t id : wave_ids) shard.live[id].cohort = cohort;
     shard.batch.step();
     retired = shard.batch.take_finished();
   } catch (...) {
