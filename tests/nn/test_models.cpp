@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace aift {
 namespace {
 
@@ -54,6 +56,11 @@ struct CnnCase {
   double paper_ai;
   std::size_t layer_count;
 };
+
+// Without a printer gtest prints GetParam() as the struct's raw bytes, which
+// include the name and builder pointers; ASLR makes those, and so the test
+// names that ctest discovers, differ on every build.
+void PrintTo(const CnnCase& c, std::ostream* os) { *os << c.name; }
 
 class CnnIntensity : public ::testing::TestWithParam<CnnCase> {};
 
