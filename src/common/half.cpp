@@ -39,32 +39,30 @@ std::uint16_t f32_to_f16_bits(float f) noexcept {
   return static_cast<std::uint16_t>(out);
 }
 
-float f16_bits_to_f32(std::uint16_t h) noexcept {
-  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
-  std::uint32_t man = h & 0x03FFu;
+namespace detail {
+namespace {
 
-  std::uint32_t out;
-  if (exp16 == 0) {
-    if (man == 0) {
-      out = sign;  // signed zero
-    } else {
-      // Normalize the subnormal: value = man * 2^-24.
-      int e = -1;
-      do {
-        man <<= 1;
-        ++e;
-      } while ((man & 0x0400u) == 0);
-      man &= 0x03FFu;
-      out = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) | (man << 13);
-    }
-  } else if (exp16 == 0x1Fu) {
-    out = sign | 0x7F800000u | (man << 13);  // inf / NaN
-  } else {
-    out = sign | ((exp16 - 15 + 127) << 23) | (man << 13);
+// Fills the table from the arithmetic decode. The decode ORs the sign bit
+// in independently of the magnitude, so each negative pattern is its
+// positive twin with bit 31 set; deriving it halves the compile-time
+// evaluation (Clang bounds constant-evaluation steps), and the exhaustive
+// test checks every entry, both halves, against the arithmetic decode.
+constexpr std::array<std::uint32_t, 65536> make_f16_table() {
+  std::array<std::uint32_t, 65536> table{};
+  for (std::uint32_t h = 0; h < 0x8000u; ++h) {
+    const std::uint32_t bits = f16_bits_to_f32_bits(static_cast<std::uint16_t>(h));
+    table[h] = bits;
+    table[h | 0x8000u] = bits | 0x80000000u;
   }
-  return std::bit_cast<float>(out);
+  return table;
 }
+
+}  // namespace
+
+constinit const std::array<std::uint32_t, 65536> kF16ToF32Bits =
+    make_f16_table();
+
+}  // namespace detail
 
 std::ostream& operator<<(std::ostream& os, half_t h) { return os << h.to_float(); }
 

@@ -7,6 +7,8 @@
 // software half type: round-to-nearest-even conversions, subnormals,
 // infinities and NaNs all behave as on hardware.
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -16,8 +18,53 @@ namespace aift {
 /// Converts an IEEE binary32 value to binary16 bits (round-to-nearest-even).
 std::uint16_t f32_to_f16_bits(float f) noexcept;
 
-/// Converts binary16 bits to the exactly-representable binary32 value.
-float f16_bits_to_f32(std::uint16_t h) noexcept;
+/// The arithmetic binary16 -> binary32 decode, returning the binary32 bits
+/// of the exactly-representable value. It generates the decode table
+/// below at compile time and is that table's test oracle; hot paths decode
+/// through f16_bits_to_f32 instead.
+[[nodiscard]] constexpr std::uint32_t f16_bits_to_f32_bits(
+    std::uint16_t h) noexcept {
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t exp16 = (h >> 10) & 0x1Fu;
+  std::uint32_t man = h & 0x03FFu;
+
+  std::uint32_t out;
+  if (exp16 == 0) {
+    if (man == 0) {
+      out = sign;  // signed zero
+    } else {
+      // Normalize the subnormal: value = man * 2^-24.
+      int e = -1;
+      do {
+        man <<= 1;
+        ++e;
+      } while ((man & 0x0400u) == 0);
+      man &= 0x03FFu;
+      out = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) | (man << 13);
+    }
+  } else if (exp16 == 0x1Fu) {
+    out = sign | 0x7F800000u | (man << 13);  // inf / NaN
+  } else {
+    out = sign | ((exp16 - 15 + 127) << 23) | (man << 13);
+  }
+  return out;
+}
+
+namespace detail {
+/// binary32 bits of every binary16 pattern, indexed by the pattern.
+/// Defined constinit in half.cpp: constant-initialized, so the table is
+/// complete before any dynamic initializer of any translation unit runs.
+/// It stores bits rather than floats so NaN payloads (signaling ones
+/// included) never pass through a floating-point constant.
+extern const std::array<std::uint32_t, 65536> kF16ToF32Bits;
+}  // namespace detail
+
+/// Converts binary16 bits to the exactly-representable binary32 value: one
+/// load from the 256 KiB decode table (bit-identical to the arithmetic
+/// decode for all 65,536 patterns, exhaustively tested).
+[[nodiscard]] inline float f16_bits_to_f32(std::uint16_t h) noexcept {
+  return std::bit_cast<float>(detail::kF16ToF32Bits[h]);
+}
 
 /// IEEE 754 binary16 value. Storage is the raw 16-bit pattern; arithmetic
 /// is performed by converting through float (which is exact for +,-,*

@@ -40,9 +40,13 @@ namespace aift {
 enum class ScratchSlot : int {
   gemm_accumulator = 0,  ///< per-block FP32 accumulator (any pool worker)
   gemm_staged_a = 1,     ///< per-call padded FP32 staging of operand A
+  check_operands = 2,    ///< thread-level check task: FP32 decode of its A and
+                         ///< C rows (floats); its output sums and, two-sided,
+                         ///< row-group sums of A (doubles)
+  check_panel = 3,       ///< unprepared thread-level check's checksum panel
 };
 
-inline constexpr std::size_t kNumScratchSlots = 2;
+inline constexpr std::size_t kNumScratchSlots = 4;
 
 /// Process-wide scratch counters, aggregated across every thread.
 struct ScratchStats {
@@ -56,6 +60,10 @@ struct ScratchStats {
 /// to hold at least `count` floats. Contents are unspecified. The pointer
 /// stays valid until the same thread requests the same slot again.
 [[nodiscard]] float* scratch_floats(ScratchSlot slot, std::size_t count);
+
+/// The same for a buffer of `count` doubles. A slot's float and double
+/// buffers are distinct storage, counted in the same hit/miss ledger.
+[[nodiscard]] double* scratch_doubles(ScratchSlot slot, std::size_t count);
 
 [[nodiscard]] ScratchStats scratch_stats();
 void reset_scratch_stats();

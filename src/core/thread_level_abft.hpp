@@ -17,6 +17,24 @@
 // check() replays that arithmetic against a possibly-faulty C and reports
 // every failing thread with its location — the fault is localized to a
 // specific (block, warp, lane, row), unlike global ABFT's single bit.
+//
+// How the replay is computed. Lanes that share `lane % 4` own the same
+// columns of their warp tile, so every checksum vector s belongs to a
+// *column group* (block column, warp column, lane % 4), and every lane's
+// rows to a *row group* (block row, warp row, lane / 4). The check keeps
+// one checksum vector per column group, stored as a k-major double panel
+// in the PackedOperand idiom — groups in 8-wide panels,
+// panel[(g / 8) * K * 8 + k * 8 + g % 8] == s_g[k] — and computes the
+// redundant dots as the small product A x S (two-sided: row-group sums of
+// A x S), blocked in registers over rows x groups. Each (row, group) dot
+// is still one chain running k = 0, 1, ..., K-1 with a separate double
+// multiply and add, s_g[k] is still summed over the group's columns in
+// ascending order, and the output sums still run over the group's columns
+// (two-sided: rows, then columns) in ascending order. Only independent
+// chains run side by side, so every residual and threshold is the one the
+// scalar per-lane replay computes, bit for bit — pinned against that
+// replay (tests/core/thread_level_oracle.hpp) by the
+// thread_check_determinism_threads_* CTest entries.
 
 #include <cstdint>
 #include <vector>
@@ -42,6 +60,8 @@ struct ThreadCheckFailure {
 
 struct ThreadLevelResult {
   bool fault_detected = false;
+  /// Every failing check, in grid order: (block_row, block_col, warp_m,
+  /// warp_n, lane, row) ascending, whatever the worker count.
   std::vector<ThreadCheckFailure> failures;
   std::int64_t threads_checked = 0;
 };
@@ -56,18 +76,18 @@ class ThreadLevelAbft {
                                         const Matrix<half_t>& b,
                                         const Matrix<half_t>& c) const;
 
-  /// Precomputes every lane's Bt row checksum for the immutable operand
-  /// `b` — the per-lane s[k] vectors are pure functions of (b, tile), so a
-  /// session checking the same weights every request builds them once at
-  /// construction instead of once per check. Each table entry is summed in
-  /// exactly the order check() sums it online, so a prepared check is
-  /// bit-identical to an unprepared one. After prepare(b), check() must
-  /// only be given that same `b` (it matches on dimensions alone, like a
-  /// PackedOperand, and the session's per-layer checker only ever sees its
-  /// own layer's weights).
+  /// Builds the column-group checksum panel for the immutable operand `b`
+  /// (see the header comment for the layout). The panel is a pure function
+  /// of (b, tile), so a session checking the same weights every request
+  /// builds it once at construction; an unprepared check() builds the same
+  /// panel, in the same summation order, in scratch, and runs the same
+  /// kernel, so a prepared check is bit-identical to an unprepared one.
+  /// After prepare(b), check() must only be given that same `b` (it matches
+  /// on dimensions alone, like a PackedOperand, and the session's per-layer
+  /// checker only ever sees its own layer's weights).
   void prepare(const Matrix<half_t>& b);
 
-  /// Whether prepare() has been called (the table serves any b with the
+  /// Whether prepare() has been called (the panel serves any b with the
   /// prepared dimensions).
   [[nodiscard]] bool prepared() const { return prepared_k_ >= 0; }
 
@@ -78,11 +98,9 @@ class ThreadLevelAbft {
   TileConfig tile_;
   ThreadAbftSide side_;
   ErrorBoundParams bound_;
-  /// Per-(block column, warp column, lane) Bt row checksums, indexed
-  /// (bj * warps_n + wn) * 32 + lane; empty where the lane owns no
-  /// in-range column. The sums do not depend on the block row or warp row,
-  /// so the table covers the whole grid.
-  std::vector<std::vector<double>> prepared_checksums_;
+  /// prepare()'s column-group checksum panel: one K-length vector per
+  /// column group with an in-range column, zero in the panel padding.
+  std::vector<double> panel_;
   std::int64_t prepared_k_ = -1;
   std::int64_t prepared_n_ = -1;
 };

@@ -259,10 +259,35 @@ void ContinuousBatch::step() {
     }
   }
 
-  // Phase 3 — this step's own verification, per executed row in admission
-  // order. Global ABFT defers into the next boundary (or the final drain);
-  // the in-kernel schemes check synchronously, exactly like the serial
-  // path.
+  // Phase 3 — this step's own verification. Global ABFT defers into the
+  // next boundary (or the final drain); the in-kernel schemes check
+  // synchronously, exactly like the serial path. Each synchronous check is
+  // a pure function of its row's operands, so every flag is computed in
+  // one fan-out; recoveries, stats and traces then resolve per executed
+  // row in admission order.
+  const auto checks_now = [&](const Row& row) {
+    if (row.cursor >= num_layers) return false;  // retirement-only row
+    const Scheme scheme = layers[row.cursor].entry.scheme();
+    return scheme != Scheme::none &&
+           !(opts_.defer_verification && scheme == Scheme::global_abft);
+  };
+  std::vector<std::size_t> checked;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (checks_now(rows_[i])) checked.push_back(i);
+  }
+  std::vector<char> flags(rows_.size(), 0);
+  const auto check_body = [&](std::int64_t t) {
+    const std::size_t i = checked[static_cast<std::size_t>(t)];
+    const Row& row = rows_[i];
+    flags[i] = session_->check_layer(layers[row.cursor], row.a, outputs[i])
+                   ? 1
+                   : 0;
+  };
+  if (opts_.parallel) {
+    parallel_for(0, static_cast<std::int64_t>(checked.size()), check_body);
+  } else {
+    serial_for(0, static_cast<std::int64_t>(checked.size()), check_body);
+  }
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     Row& row = rows_[i];
     if (row.cursor >= num_layers) continue;  // retirement-only row
@@ -280,7 +305,7 @@ void ContinuousBatch::step() {
       trace.output_digest = digest_rows(c, 0, shape.m);
     } else {
       ++stats_.synchronous_checks;
-      if (session_->check_layer(layer, row.a, c)) {
+      if (flags[i] != 0) {
         recover_row(row, row.cursor, row.a, c, trace);
       }
       trace.output_digest = digest_rows(c, 0, shape.m);

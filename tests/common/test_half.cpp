@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -135,6 +136,30 @@ TEST(Half, Constants) {
 TEST(Half, RoundToF16Helper) {
   EXPECT_FLOAT_EQ(round_to_f16(1.0f + 0x1p-12f), 1.0f);
   EXPECT_FLOAT_EQ(round_to_f16(0.1f), half_t(0.1f).to_float());
+}
+
+TEST(Half, TableDecodeMatchesArithmeticDecodeForEveryPattern) {
+  // f16_bits_to_f32 is a lookup into a compile-time table generated from
+  // the arithmetic decode; the two must agree bitwise on all 65,536
+  // patterns — NaN payloads (signaling included), signed zeros,
+  // subnormals and infinities too. The oracle runs at run time here, so
+  // a table the compiler built differently from the function would show.
+  for (std::uint32_t bits = 0; bits <= 0xFFFFu; ++bits) {
+    volatile std::uint32_t in = bits;
+    const auto h = static_cast<std::uint16_t>(in);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(f16_bits_to_f32(h)),
+              f16_bits_to_f32_bits(h))
+        << "pattern " << bits;
+  }
+  // Spot values of the arithmetic decode itself.
+  EXPECT_EQ(f16_bits_to_f32_bits(0x0000u), 0x00000000u);  // +0
+  EXPECT_EQ(f16_bits_to_f32_bits(0x8000u), 0x80000000u);  // -0
+  EXPECT_EQ(f16_bits_to_f32_bits(0x0001u), 0x33800000u);  // 2^-24
+  EXPECT_EQ(f16_bits_to_f32_bits(0x83FFu), 0xB87FC000u);  // -1023 * 2^-24
+  EXPECT_EQ(f16_bits_to_f32_bits(0x3C00u), 0x3F800000u);  // 1
+  EXPECT_EQ(f16_bits_to_f32_bits(0xFC00u), 0xFF800000u);  // -inf
+  EXPECT_EQ(f16_bits_to_f32_bits(0x7C01u), 0x7F802000u);  // signaling NaN
+  EXPECT_EQ(f16_bits_to_f32_bits(0xFE00u), 0xFFC00000u);  // quiet NaN
 }
 
 TEST(Half, SignBitQueries) {

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "gemm/functional.hpp"
 #include "nn/model.hpp"
+#include "nn/zoo/zoo.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/pipeline.hpp"
 
@@ -109,6 +110,48 @@ TEST(ScratchTest, SteadyStateServingRoundAllocatesNothing) {
     EXPECT_EQ(stats.misses, 0) << (defer ? "deferred" : "synchronous");
     EXPECT_GT(stats.hits, 0) << (defer ? "deferred" : "synchronous");
   }
+}
+
+TEST(ScratchTest, SteadyStateThreadCheckRoundAllocatesNothing) {
+  // The same guard over the thread-level check: its decoded A and C and
+  // its checksum work buffers come from the check slots, so after one
+  // warm-up round a synchronous serial round on an intensity-guided plan
+  // — thread-level checks on every layer, one of them flagging and
+  // re-executing — performs zero scratch allocations.
+  GemmCostModel cost{devices::t4()};
+  ProtectedPipeline pipe{cost};
+  const InferenceSession session(
+      pipe.plan(zoo::dlrm_mlp_bottom(1), ProtectionPolicy::intensity_guided));
+  std::size_t thread_layer = session.num_layers();
+  for (std::size_t l = 0; l < session.num_layers(); ++l) {
+    const Scheme scheme = session.plan().entries[l].scheme();
+    if (scheme == Scheme::thread_one_sided ||
+        scheme == Scheme::thread_two_sided) {
+      thread_layer = l;
+      break;
+    }
+  }
+  ASSERT_LT(thread_layer, session.num_layers())
+      << "the guided plan has no thread-level layer";
+  const BatchExecutor executor(session);
+
+  std::vector<BatchRequest> batch(4);
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    batch[r].input = session.make_input(400 + r);
+  }
+  batch[2].faults = {
+      SessionFault{thread_layer, FaultSpec{0, 0, -1, 0x20000000u}, 0}};
+
+  BatchOptions opts;
+  opts.parallel = false;
+  opts.defer_verification = false;
+  (void)executor.run(batch, opts);  // warm-up round
+  reset_scratch_stats();
+  const BatchResult steady = executor.run(batch, opts);
+  const ScratchStats stats = scratch_stats();
+  EXPECT_EQ(steady.requests[2].layers[thread_layer].detections, 1);
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_GT(stats.hits, 0);
 }
 
 }  // namespace
