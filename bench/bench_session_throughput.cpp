@@ -164,8 +164,8 @@ int run(int argc, char** argv) {
 
   // Packed-operand hot path at the serving batch size: the same B=16
   // request stream through the construction-time weight packs (the
-  // default) and through a pack_weights=false session — the pre-packing
-  // per-call conversion baseline. Outputs must agree byte for byte (the
+  // default) and through a pack_weights=false session, which packs the
+  // weights on every GEMM call. Outputs must agree byte for byte (the
   // identity the CTest suites pin), and the steady-state speedup is
   // asserted so the hot path cannot silently regress.
   SessionOptions unpacked_opts;

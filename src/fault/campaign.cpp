@@ -23,8 +23,7 @@ struct CampaignContext {
   Matrix<half_t> a;
   Matrix<half_t> b;
   // B packed once for the campaign's tile; every trial's faulty GEMM (and
-  // the clean reference below) serves from it. Bit-identical to the
-  // unpacked path, so campaign stats are unchanged.
+  // the clean reference below) serves from it instead of packing per call.
   PackedOperand b_packed;
   Matrix<half_t> c_clean;
 

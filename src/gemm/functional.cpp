@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -38,16 +37,16 @@ struct BlockFault {
   std::uint32_t xor_bits;
 };
 
-// The one fault-free inner kernel both B layouts execute: eight
-// independent FP32 chains (one per column of the MMA group), each
-// accumulating its K products in ascending k with a separate multiply and
-// add per product — exactly the scalar chain faulty_dot walks, so the
-// fast path is bit-identical to the fault path by construction. `brow`
-// points at {B(0, col0..col0+7)} and advances `stride` floats per k (the
-// padded row width for the raw layout, kN for a packed panel).
+// The fault-free inner kernel: eight independent FP32 chains (one per
+// column of the MMA group), each accumulating its K products in ascending k
+// with a separate multiply and add per product — exactly the scalar chain
+// faulty_dot walks, so the fast path is bit-identical to the fault path by
+// construction. `panel` points at the group's k-major PackedOperand panel:
+// {B(k, col0..col0+7)} is one contiguous 8-float row, 32 bytes after row
+// k-1, so the whole K extent streams sequentially.
 //
 // Written with SSE2 intrinsics rather than left to the autovectorizer
-// because GCC, seeing the packed panel's contiguous 32-byte-per-k stream,
+// because GCC, seeing the panel's contiguous 32-byte-per-k stream,
 // vectorizes this loop *across k* — a storm of cross-lane permutes to
 // keep each chain's adds in strict ascending-k order (no -ffast-math, so
 // it cannot reassociate instead), several times slower than lane-per-
@@ -55,22 +54,22 @@ struct BlockFault {
 // same IEEE single-precision operation as the scalar form, so the
 // intrinsic and fallback bodies are bit-identical.
 inline void dot8_lanes(const float* arow, std::int64_t kpad,
-                       const float* brow, std::int64_t stride, float* out) {
+                       const float* panel, float* out) {
 #if defined(__SSE2__)
   __m128 s0 = _mm_setzero_ps();
   __m128 s1 = _mm_setzero_ps();
-  for (std::int64_t kx = 0; kx < kpad; ++kx, brow += stride) {
+  for (std::int64_t kx = 0; kx < kpad; ++kx, panel += MmaShape::kN) {
     const __m128 av = _mm_set1_ps(arow[kx]);
-    s0 = _mm_add_ps(s0, _mm_mul_ps(av, _mm_loadu_ps(brow)));
-    s1 = _mm_add_ps(s1, _mm_mul_ps(av, _mm_loadu_ps(brow + 4)));
+    s0 = _mm_add_ps(s0, _mm_mul_ps(av, _mm_loadu_ps(panel)));
+    s1 = _mm_add_ps(s1, _mm_mul_ps(av, _mm_loadu_ps(panel + 4)));
   }
   _mm_storeu_ps(out, s0);
   _mm_storeu_ps(out + 4, s1);
 #else
   float sums[MmaShape::kN] = {};
-  for (std::int64_t kx = 0; kx < kpad; ++kx, brow += stride) {
+  for (std::int64_t kx = 0; kx < kpad; ++kx, panel += MmaShape::kN) {
     const float av = arow[kx];
-    for (int c = 0; c < MmaShape::kN; ++c) sums[c] += av * brow[c];
+    for (int c = 0; c < MmaShape::kN; ++c) sums[c] += av * panel[c];
   }
   for (int c = 0; c < MmaShape::kN; ++c) out[c] = sums[c];
 #endif
@@ -80,70 +79,18 @@ void apply_fault(float& acc, std::uint32_t xor_bits) {
   acc = std::bit_cast<float>(std::bit_cast<std::uint32_t>(acc) ^ xor_bits);
 }
 
-// The two B-operand layouts the executor reads through. strip(col) yields
-// the column's K values indexed by absolute k row; the layouts differ only
-// in where those values live, never in their numeric content, so the core
-// below is bit-identical across views by construction.
-//
-// Raw: the per-call padded FP32 copy, row-major kpad x npad — consecutive
-// k8 reads stride by the padded row width (the pre-pack access pattern).
-struct RawBView {
-  const float* data;
-  std::int64_t npad;
-
-  struct Strip {
-    const float* base;
-    std::int64_t stride;
-    float operator[](std::int64_t krow) const { return base[krow * stride]; }
-  };
-  [[nodiscard]] Strip strip(std::int64_t col) const {
-    return Strip{data + col, npad};
-  }
-  // Fault-free column-group kernel: the row fragment {B(k, col0..col0+7)}
-  // is contiguous and its k+1 neighbour sits npad floats on.
-  void dot8(const float* arow, std::int64_t kpad, std::int64_t col0,
-            float* out) const {
-    dot8_lanes(arow, kpad, data + col0, npad, out);
-  }
-};
-
-// Panel: a PackedOperand — k-major 8-column group panels, so a strip's
-// k-th value sits a fixed 8 floats after its (k-1)-th and the eight
-// strips of a column group are adjacent per k row. The column-group loop
-// below therefore reads one contiguous 8-float row per k, and advances
-// 32 bytes per k step: a sequential stream the SIMD kernel loads with two
-// unstrided 16-byte moves and the prefetcher sees through.
-struct PanelBView {
-  const float* panels;
-  std::int64_t kpad;
-
-  struct Strip {
-    const float* base;
-    float operator[](std::int64_t krow) const {
-      return base[krow * MmaShape::kN];
-    }
-  };
-  [[nodiscard]] Strip strip(std::int64_t col) const {
-    return Strip{panels + (col / MmaShape::kN) * kpad * MmaShape::kN +
-                 col % MmaShape::kN};
-  }
-  // Fault-free column-group kernel: each k consumes one contiguous
-  // 8-float panel row, 32 bytes from its k-1 neighbour, so the whole K
-  // extent streams sequentially.
-  void dot8(const float* arow, std::int64_t kpad_a, std::int64_t col0,
-            float* out) const {
-    dot8_lanes(arow, kpad_a,
-               panels + (col0 / MmaShape::kN) * kpad * MmaShape::kN,
-               MmaShape::kN, out);
-  }
-};
+// First float of column `col`'s panel group: its k-th row sits 8 * k
+// floats further on.
+const float* panel_of(const PackedOperand& b, std::int64_t col) {
+  return b.panels.data() + (col / MmaShape::kN) * b.kpad * MmaShape::kN;
+}
 
 // Per-element K chain with injected faults: identical add order to the
 // fault-free fast loop (k ascending, i.e. the k8 steps of the blocked
 // schedule in order), with each fault's XOR applied at its step boundary —
 // exactly where the step-blocked schedule applied it to the accumulator.
-template <typename Strip>
-float faulty_dot(const float* arow, const Strip& bcol,
+// `bcol` is the column's strip in its panel: B(k, col) == bcol[8 * k].
+float faulty_dot(const float* arow, const float* bcol,
                  std::int64_t k8_per_block,
                  const std::vector<BlockFault>& faults, std::int64_t row,
                  std::int64_t col) {
@@ -151,7 +98,7 @@ float faulty_dot(const float* arow, const Strip& bcol,
   for (std::int64_t step = 0; step < k8_per_block; ++step) {
     const std::int64_t kk = step * MmaShape::kK;
     for (int kx = 0; kx < MmaShape::kK; ++kx) {
-      sum += arow[kk + kx] * bcol[kk + kx];
+      sum += arow[kk + kx] * bcol[(kk + kx) * MmaShape::kN];
     }
     for (const auto& f : faults) {
       if (f.local_row == row && f.local_col == col && f.k8_step == step) {
@@ -168,22 +115,49 @@ float faulty_dot(const float* arow, const Strip& bcol,
   return sum;
 }
 
+// The FP16 store epilogue (round-to-nearest-even, clamped to the real
+// unpadded output), shared by the single-request and batched entry points:
+// the stacking invariant requires both to store through one definition.
+// Full interior blocks take the unguarded loops — the bounds can only clip
+// on the grid's edge row/column, so re-checking them per element there is
+// pure overhead.
+void store_tile(Matrix<half_t>& c, const TileConfig& tile, std::int64_t r0,
+                std::int64_t c0, const float* acc) {
+  const std::int64_t m = c.rows(), n = c.cols();
+  if (r0 + tile.mb <= m && c0 + tile.nb <= n) {
+    for (int r = 0; r < tile.mb; ++r) {
+      for (int cc = 0; cc < tile.nb; ++cc) {
+        c(r0 + r, c0 + cc) =
+            half_t(acc[static_cast<std::size_t>(r) * tile.nb + cc]);
+      }
+    }
+    return;
+  }
+  for (int r = 0; r < tile.mb; ++r) {
+    if (r0 + r >= m) break;
+    for (int cc = 0; cc < tile.nb; ++cc) {
+      if (c0 + cc >= n) break;
+      c(r0 + r, c0 + cc) =
+          half_t(acc[static_cast<std::size_t>(r) * tile.nb + cc]);
+    }
+  }
+}
+
 // The single definition of the threadblock execution: each output element
 // accumulates its K products in ascending k — byte-identical to kb slabs
 // of k8-step MMAs walked in order, because both visit an element's
 // products in the same sequence. Rows stream in 8-column groups (the MMA
 // kN) so eight independent FP32 chains stay in registers, the accumulator
-// is written exactly once per element, and B is read through `bview`
-// (contiguous panels when packed, the strided padded copy otherwise).
-// Any change here must keep an element's accumulation order a function of
-// the K decomposition only — the stacking and packing invariants both
-// rest on that property.
-template <typename BView, typename StoreFn>
-void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
-                   std::int64_t m, std::int64_t n, const TileConfig& tile,
-                   std::int64_t k8_per_block, const FunctionalOptions& opts,
-                   const StoreFn& store, std::int64_t extra_tasks,
+// is written exactly once per element, and B is read from its contiguous
+// PackedOperand panels. Any change here must keep an element's
+// accumulation order a function of the K decomposition only — the
+// stacking invariant rests on that property.
+void run_blocks_on(const float* af, const PackedOperand& b, Matrix<half_t>& c,
+                   const TileConfig& tile, const FunctionalOptions& opts,
+                   std::int64_t extra_tasks,
                    const std::function<void(std::int64_t)>* extra_task) {
+  const std::int64_t m = c.rows(), n = c.cols(), kpad = b.kpad;
+  const std::int64_t k8_per_block = kpad / MmaShape::kK;
   const std::int64_t bm = (m + tile.mb - 1) / tile.mb;
   const std::int64_t bn = (n + tile.nb - 1) / tile.nb;
 
@@ -236,6 +210,7 @@ void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
       const float* arow = af + (r0 + r) * kpad;
       float* crow = acc + static_cast<std::size_t>(r) * tile.nb;
       for (std::int64_t nj = 0; nj < tile.nb; nj += MmaShape::kN) {
+        const float* panel = panel_of(b, c0 + nj);
         bool group_faulty = false;
         for (const auto& f : faults) {
           if (f.local_row == r && f.local_col >= nj &&
@@ -245,20 +220,20 @@ void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
         }
         if (!group_faulty) {
           // Eight independent chains, each in ascending k — the same add
-          // sequence per element as the step-blocked MMA schedule. The
-          // view's dot8 kernel turns the chains into lane-per-column
-          // broadcast+FMA without reassociating any single chain.
-          bview.dot8(arow, kpad, c0 + nj, crow + nj);
+          // sequence per element as the step-blocked MMA schedule, turned
+          // into lane-per-column broadcast+multiply+add without
+          // reassociating any single chain.
+          dot8_lanes(arow, kpad, panel, crow + nj);
         } else {
-          for (int c = 0; c < MmaShape::kN; ++c) {
-            crow[nj + c] = faulty_dot(arow, bview.strip(c0 + nj + c),
-                                      k8_per_block, faults, r, nj + c);
+          for (int cc = 0; cc < MmaShape::kN; ++cc) {
+            crow[nj + cc] = faulty_dot(arow, panel + cc, k8_per_block, faults,
+                                       r, nj + cc);
           }
         }
       }
     }
 
-    store(r0, c0, acc);
+    store_tile(c, tile, r0, c0, acc);
     mma_count.fetch_add(
         k8_per_block * (tile.mb / MmaShape::kM) * (tile.nb / MmaShape::kN),
         std::memory_order_relaxed);
@@ -278,120 +253,30 @@ void run_blocks_on(const float* af, std::int64_t kpad, const BView& bview,
   }
 }
 
-// Unpacked entry: A is staged into scratch like every path, but B is
-// materialized afresh per call — allocation, zero fill, conversion —
-// exactly what every GEMM paid before operand packing existed. This path
-// serves identity tests and pack_weights=false sessions only (sessions,
-// campaigns and the microbench all pre-pack), and deliberately stays the
-// pre-packing execution so benches measuring packed-vs-unpacked compare
-// the fast path against the honest historical baseline.
-template <typename StoreFn>
-void run_blocks(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                std::int64_t m, std::int64_t n, std::int64_t k,
-                const TileConfig& tile, const FunctionalOptions& opts,
-                const StoreFn& store, std::int64_t extra_tasks = 0,
-                const std::function<void(std::int64_t)>* extra_task = nullptr) {
-  AIFT_CHECK_MSG(tile.valid(), "invalid tile config " << tile.name());
-  const std::int64_t bm = (m + tile.mb - 1) / tile.mb;
-  const std::int64_t bn = (n + tile.nb - 1) / tile.nb;
-  const std::int64_t k_slabs = (k + tile.kb - 1) / tile.kb;
-  const std::int64_t k8_per_block = k_slabs * (tile.kb / MmaShape::kK);
-  const std::int64_t kpad = k_slabs * tile.kb;
-  const std::int64_t npad = bn * tile.nb;
-
-  const float* af =
-      stage_f32_padded(ScratchSlot::gemm_staged_a, a, bm * tile.mb, kpad);
-  std::vector<float> bf(static_cast<std::size_t>(kpad * npad), 0.0f);
-  for (std::int64_t r = 0; r < b.rows(); ++r) {
-    float* row = bf.data() + r * npad;
-    for (std::int64_t c = 0; c < b.cols(); ++c) row[c] = b(r, c).to_float();
-  }
-  run_blocks_on(af, kpad, RawBView{bf.data(), npad}, m, n, tile, k8_per_block,
-                opts, store, extra_tasks, extra_task);
-}
-
-// Packed entry: A is staged per call (activations change every layer), B
-// is the caller's pre-built pack.
-template <typename StoreFn>
+// Entry of every GEMM: A is staged per call (activations change every
+// layer), B is the caller's pack. The one-shot wrapper packs B first,
+// outside this body, so the hot path allocates nothing of its own.
 void run_blocks_packed(
-    const Matrix<half_t>& a, const PackedOperand& b, std::int64_t m,
-    std::int64_t n, std::int64_t k, const TileConfig& tile,
-    const FunctionalOptions& opts, const StoreFn& store,
+    const Matrix<half_t>& a, const PackedOperand& b, Matrix<half_t>& c,
+    const TileConfig& tile, const FunctionalOptions& opts,
     std::int64_t extra_tasks = 0,
     const std::function<void(std::int64_t)>* extra_task = nullptr) {
   AIFT_CHECK_MSG(tile.valid(), "invalid tile config " << tile.name());
-  AIFT_CHECK_MSG(b.compatible(k, n, tile),
+  AIFT_CHECK(a.cols() == b.rows);
+  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols);
+  AIFT_CHECK_MSG(b.compatible(a.cols(), c.cols(), tile),
                  "PackedOperand (" << b.rows << "x" << b.cols << ", kb="
                                    << b.kb << ", nb=" << b.nb
-                                   << ") does not serve a " << k << "x" << n
-                                   << " B under tile " << tile.name());
-  const std::int64_t bm = (m + tile.mb - 1) / tile.mb;
-  const std::int64_t k_slabs = (k + tile.kb - 1) / tile.kb;
-  const std::int64_t k8_per_block = k_slabs * (tile.kb / MmaShape::kK);
-  const std::int64_t kpad = k_slabs * tile.kb;
-
+                                   << ") does not serve a " << a.cols() << "x"
+                                   << c.cols() << " B under tile "
+                                   << tile.name());
+  const std::int64_t bm = (a.rows() + tile.mb - 1) / tile.mb;
   const float* af =
-      stage_f32_padded(ScratchSlot::gemm_staged_a, a, bm * tile.mb, kpad);
-  run_blocks_on(af, kpad, PanelBView{b.panels.data(), b.kpad}, m, n, tile,
-                k8_per_block, opts, store, extra_tasks, extra_task);
+      stage_f32_padded(ScratchSlot::gemm_staged_a, a, bm * tile.mb, b.kpad);
+  run_blocks_on(af, b, c, tile, opts, extra_tasks, extra_task);
 }
 
-// The FP16 store epilogue (round-to-nearest-even, clamped to the real
-// unpadded output), shared by the single-request and batched entry points
-// of both operand layouts: the stacking and packing bit-identity
-// invariants require every path to store through one definition. Full
-// interior blocks take the unguarded loops — the bounds can only clip on
-// the grid's edge row/column, so re-checking them per element there is
-// pure overhead.
-auto f16_store(Matrix<half_t>& c, const TileConfig& tile, std::int64_t m,
-               std::int64_t n) {
-  return [&c, &tile, m, n](std::int64_t r0, std::int64_t c0,
-                           const float* acc) {
-    if (r0 + tile.mb <= m && c0 + tile.nb <= n) {
-      for (int r = 0; r < tile.mb; ++r) {
-        for (int cc = 0; cc < tile.nb; ++cc) {
-          c(r0 + r, c0 + cc) =
-              half_t(acc[static_cast<std::size_t>(r) * tile.nb + cc]);
-        }
-      }
-      return;
-    }
-    for (int r = 0; r < tile.mb; ++r) {
-      if (r0 + r >= m) break;
-      for (int cc = 0; cc < tile.nb; ++cc) {
-        if (c0 + cc >= n) break;
-        c(r0 + r, c0 + cc) =
-            half_t(acc[static_cast<std::size_t>(r) * tile.nb + cc]);
-      }
-    }
-  };
-}
-
-// FP32 store epilogue of the f32out variants, same interior fast path.
-auto f32_store(Matrix<float>& c, const TileConfig& tile, std::int64_t m,
-               std::int64_t n) {
-  return [&c, &tile, m, n](std::int64_t r0, std::int64_t c0,
-                           const float* acc) {
-    if (r0 + tile.mb <= m && c0 + tile.nb <= n) {
-      for (int r = 0; r < tile.mb; ++r) {
-        for (int cc = 0; cc < tile.nb; ++cc) {
-          c(r0 + r, c0 + cc) = acc[static_cast<std::size_t>(r) * tile.nb + cc];
-        }
-      }
-      return;
-    }
-    for (int r = 0; r < tile.mb; ++r) {
-      if (r0 + r >= m) break;
-      for (int cc = 0; cc < tile.nb; ++cc) {
-        if (c0 + cc >= n) break;
-        c(r0 + r, c0 + cc) = acc[static_cast<std::size_t>(r) * tile.nb + cc];
-      }
-    }
-  };
-}
-
-// Shared validation + request-local fault translation of the batched entry
-// points (both operand layouts dispatch batches identically).
+// Validation + request-local fault translation of the batched entry point.
 FunctionalOptions batched_options(const BatchedGemmOptions& opts,
                                   std::int64_t a_rows,
                                   std::int64_t rows_per_request) {
@@ -423,63 +308,22 @@ FunctionalOptions batched_options(const BatchedGemmOptions& opts,
 void functional_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b,
                      Matrix<half_t>& c, const TileConfig& tile,
                      const FunctionalOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows());
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  const std::int64_t m = a.rows(), n = b.cols(), k = a.cols();
-  run_blocks(a, b, m, n, k, tile, opts, f16_store(c, tile, m, n));
+  functional_gemm(a, pack_operand(b, tile), c, tile, opts);
 }
 
 void functional_gemm(const Matrix<half_t>& a, const PackedOperand& b,
                      Matrix<half_t>& c, const TileConfig& tile,
                      const FunctionalOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows);
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols);
-  const std::int64_t m = a.rows(), n = b.cols, k = a.cols();
-  run_blocks_packed(a, b, m, n, k, tile, opts, f16_store(c, tile, m, n));
-}
-
-void functional_gemm_f32out(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows());
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  const std::int64_t m = a.rows(), n = b.cols(), k = a.cols();
-  run_blocks(a, b, m, n, k, tile, opts, f32_store(c, tile, m, n));
-}
-
-void functional_gemm_f32out(const Matrix<half_t>& a, const PackedOperand& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows);
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols);
-  const std::int64_t m = a.rows(), n = b.cols, k = a.cols();
-  run_blocks_packed(a, b, m, n, k, tile, opts, f32_store(c, tile, m, n));
-}
-
-void functional_gemm_batched(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                             Matrix<half_t>& c, std::int64_t rows_per_request,
-                             const TileConfig& tile,
-                             const BatchedGemmOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows());
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  const FunctionalOptions fopts =
-      batched_options(opts, a.rows(), rows_per_request);
-  const std::int64_t m = a.rows(), n = b.cols(), k = a.cols();
-  run_blocks(a, b, m, n, k, tile, fopts, f16_store(c, tile, m, n),
-             opts.extra_tasks, &opts.extra_task);
+  run_blocks_packed(a, b, c, tile, opts);
 }
 
 void functional_gemm_batched(const Matrix<half_t>& a, const PackedOperand& b,
                              Matrix<half_t>& c, std::int64_t rows_per_request,
                              const TileConfig& tile,
                              const BatchedGemmOptions& opts) {
-  AIFT_CHECK(a.cols() == b.rows);
-  AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols);
   const FunctionalOptions fopts =
       batched_options(opts, a.rows(), rows_per_request);
-  const std::int64_t m = a.rows(), n = b.cols, k = a.cols();
-  run_blocks_packed(a, b, m, n, k, tile, fopts, f16_store(c, tile, m, n),
-                    opts.extra_tasks, &opts.extra_task);
+  run_blocks_packed(a, b, c, tile, fopts, opts.extra_tasks, &opts.extra_task);
 }
 
 Matrix<float> reference_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b) {

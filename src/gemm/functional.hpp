@@ -49,29 +49,19 @@ struct FunctionalOptions {
 /// C (M x N, FP16) = A (M x K, FP16) * B (K x N, FP16), FP32 accumulation,
 /// FP16 store (round-to-nearest-even). Out-of-range reads behave as zero
 /// padding; the tile grid covers ceil dims like a predicated GPU kernel.
+/// One-shot form: packs B for `tile` (gemm/packed_operand.hpp), then runs
+/// the packed overload, so it is bit-identical to packing once and reusing
+/// the pack — outputs, counters and fault semantics.
 void functional_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b,
                      Matrix<half_t>& c, const TileConfig& tile,
                      const FunctionalOptions& opts = {});
 
-/// Packed-operand fast path: B was converted and panel-packed once
-/// (gemm/packed_operand.hpp), so this call skips the per-call FP32
-/// conversion and reads B contiguously. Bit-identical to the unpacked
-/// overload — outputs, counters and fault semantics — because packing
-/// changes operand layout, never the K decomposition (CTest-pinned).
+/// The GEMM every path runs: B was converted and panel-packed by the
+/// caller, once per (weights, tile) for a serving session, and the
+/// threadblocks read it as contiguous k-major panels.
 void functional_gemm(const Matrix<half_t>& a, const PackedOperand& b,
                      Matrix<half_t>& c, const TileConfig& tile,
                      const FunctionalOptions& opts = {});
-
-/// Variant that keeps the FP32 accumulators (no FP16 output rounding);
-/// used by tests that verify accumulation semantics in isolation.
-void functional_gemm_f32out(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts = {});
-
-/// Packed-operand form of the FP32-accumulator variant.
-void functional_gemm_f32out(const Matrix<half_t>& a, const PackedOperand& b,
-                            Matrix<float>& c, const TileConfig& tile,
-                            const FunctionalOptions& opts = {});
 
 /// Options of the batched (multi-request) entry point.
 struct BatchedGemmOptions {
@@ -92,25 +82,19 @@ struct BatchedGemmOptions {
   std::function<void(std::int64_t)> extra_task;
 };
 
-/// One GEMM for B stacked requests sharing the weight matrix: `a` holds the
-/// B requests' activation rows stacked vertically (B * rows_per_request x
-/// K) and `c` receives the stacked outputs (B * rows_per_request x N).
+/// One GEMM for B stacked requests sharing the packed weight matrix: `a`
+/// holds the B requests' activation rows stacked vertically
+/// (B * rows_per_request x K) and `c` receives the stacked outputs
+/// (B * rows_per_request x N). The serving engine packs each layer's
+/// weights once at session construction, and every wave, rewind and
+/// campaign trial serves from the same pack.
 ///
 /// Bit-identical per request to running each request's GEMM alone: an
 /// output element's FP32 accumulation order depends only on the K
 /// decomposition (kb slabs of k8 MMA steps), never on M, the row's position
 /// in the grid, or which threadblock computes it. Stacking amortizes the
 /// threadblock padding that dominates small-M serving shapes (an M=1
-/// request still pays a full mb-row tile) and shares one padded FP32
-/// conversion of the weights across the whole batch.
-void functional_gemm_batched(const Matrix<half_t>& a, const Matrix<half_t>& b,
-                             Matrix<half_t>& c, std::int64_t rows_per_request,
-                             const TileConfig& tile,
-                             const BatchedGemmOptions& opts = {});
-
-/// Packed-operand form of the batched entry point: the serving engine
-/// packs each layer's weights once at session construction and every
-/// wave, rewind and campaign trial serves from the same pack.
+/// request still pays a full mb-row tile).
 void functional_gemm_batched(const Matrix<half_t>& a, const PackedOperand& b,
                              Matrix<half_t>& c, std::int64_t rows_per_request,
                              const TileConfig& tile,

@@ -1,26 +1,22 @@
 #pragma once
-// Packed-operand fast path of the functional GEMM (the hot-path layer of
+// The one B-operand layout of the functional GEMM (the hot-path layer of
 // the plan -> compile -> execute -> serve split).
 //
-// Every functional_gemm call converts the FP16 B operand to a padded FP32
-// copy before the threadblocks can read it. For weights — immutable for
-// the lifetime of a session, shared by every request, retry and campaign
-// trial — that per-call conversion (allocate, zero-fill, convert) is pure
-// redundant work. A PackedOperand performs it once, into a k-major panel
-// layout: columns are grouped into MMA-width (kN = 8) panels, each panel
-// storing its 8 column values contiguously per k row. The executor's
-// column-group inner loop then reads one contiguous 8-float row per k —
-// the exact shape its eight accumulator chains consume — and consecutive
-// k steps advance linearly through memory, so a whole K-panel streams
-// sequentially instead of striding by the padded row width.
+// The threadblocks read B only as a PackedOperand: the padded FP32
+// conversion of the FP16 operand in a k-major panel layout. Columns are
+// grouped into MMA-width (kN = 8) panels, each panel storing its 8 column
+// values contiguously per k row. The executor's column-group inner loop
+// then reads one contiguous 8-float row per k — the exact shape its eight
+// accumulator chains consume — and consecutive k steps advance linearly
+// through memory, so a whole K-panel streams sequentially.
 //
-// Packing changes the *layout* of the operand reads, never the K
-// decomposition: each product still enters its accumulator at exactly the
-// same point of the kb-slab / k8-step order, so the packed path is
-// bit-identical to the unpacked path by construction (CTest-pinned, incl.
-// MMA counters and fault-injection traces). The pack is keyed by the tile
-// geometry it was padded for (kb, nb) and fingerprinted like ProfileCache
-// entries so cached packs can be validated against the plan they serve.
+// Weights are immutable for the lifetime of a session and shared by every
+// request, retry and campaign trial, so sessions pack them once at
+// construction. A one-shot functional_gemm(a, Matrix b, ...) packs per
+// call, which is the same layout and so the same result by construction.
+// The pack is keyed by the tile geometry it was padded for (kb, nb) and
+// fingerprinted like ProfileCache entries so cached packs can be validated
+// against the plan they serve.
 
 #include <cstdint>
 #include <vector>
@@ -50,11 +46,6 @@ struct PackedOperand {
   std::uint64_t fingerprint = 0;
 
   [[nodiscard]] bool empty() const { return panels.empty(); }
-  /// First float of column `col`'s strip: its k-th value lives 8 * k
-  /// floats further on (the panel's row width).
-  [[nodiscard]] const float* strip_begin(std::int64_t col) const {
-    return panels.data() + (col / 8) * kpad * 8 + col % 8;
-  }
   /// The pack serves a GEMM against a `b_rows` x `b_cols` B under `tile`:
   /// same logical operand, padded to the same executed grid.
   [[nodiscard]] bool compatible(std::int64_t b_rows, std::int64_t b_cols,

@@ -122,8 +122,8 @@ void InferenceSession::layer_gemm_batched(std::size_t layer,
     functional_gemm_batched(a, *l.packed, c, rows_per_request,
                             l.entry.exec_tile(), opts);
   } else {
-    functional_gemm_batched(a, l.weights, c, rows_per_request,
-                            l.entry.exec_tile(), opts);
+    functional_gemm_batched(a, pack_operand(l.weights, l.entry.exec_tile()),
+                            c, rows_per_request, l.entry.exec_tile(), opts);
   }
 }
 

@@ -86,10 +86,9 @@ struct SessionOptions {
   Activation activation = Activation::squash;
   /// Pack each layer's weights once at construction (gemm/packed_operand):
   /// every run, batch wave, rewind and campaign trial then serves from the
-  /// cached pack instead of re-converting the weights per GEMM call. The
-  /// packed and unpacked paths are bit-identical (CTest-pinned); `false`
-  /// keeps the per-call conversion path, used by benches as the
-  /// pre-packing baseline and by tests pinning the identity.
+  /// cached pack. `false` packs on every GEMM call instead — the same
+  /// layout and so the same result by construction, at the cost of one
+  /// conversion per call; benches use it as the per-call baseline.
   bool pack_weights = true;
 };
 
@@ -157,10 +156,9 @@ class InferenceSession {
   [[nodiscard]] bool check_layer(const Layer& layer, const Matrix<half_t>& a,
                                  const Matrix<half_t>& c) const;
 
-  // The one place execution chooses between the packed fast path and the
-  // per-call conversion path — every layer GEMM (serial, batched, retry,
-  // speculative re-execution) funnels through these, so the two paths can
-  // never drift apart per call site.
+  // The one place execution chooses between the construction-time pack and
+  // a pack made per call (pack_weights = false) — every layer GEMM (serial,
+  // batched, retry, speculative re-execution) funnels through these.
   void layer_gemm(std::size_t layer, const Matrix<half_t>& a,
                   Matrix<half_t>& c, const FunctionalOptions& opts) const;
   void layer_gemm_batched(std::size_t layer, const Matrix<half_t>& a,

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "gemm_oracle.hpp"
 
 namespace aift {
 namespace {
@@ -78,18 +79,19 @@ TEST_P(FunctionalParam, ParallelMatchesSerialExactly) {
 }
 
 TEST_P(FunctionalParam, F16OutputIsRoundedF32Output) {
+  // Every stored element is the FP16 rounding of one ascending-k FP32
+  // chain over the padded K (the scalar oracle), bit for bit.
   const auto& [shape, tile] = GetParam();
   Rng rng(9);
   Matrix<half_t> a(shape.m, shape.k), b(shape.k, shape.n);
   rng.fill_uniform(a);
   rng.fill_uniform(b);
   Matrix<half_t> c16(shape.m, shape.n);
-  Matrix<float> c32(shape.m, shape.n);
   functional_gemm(a, b, c16, tile);
-  functional_gemm_f32out(a, b, c32, tile);
+  const Matrix<half_t> want = testing::gemm_oracle(a, b, tile);
   for (std::int64_t i = 0; i < shape.m; ++i) {
     for (std::int64_t j = 0; j < shape.n; ++j) {
-      EXPECT_EQ(c16(i, j).bits(), half_t(c32(i, j)).bits());
+      EXPECT_EQ(c16(i, j).bits(), want(i, j).bits());
     }
   }
 }
@@ -253,7 +255,8 @@ TEST(FunctionalBatched, StackedRequestsMatchStandaloneGemms) {
     const FaultSpec fault{std::min<std::int64_t>(1, m - 1), 2, -1,
                           0x20000000u};
     opts.faults[2] = {fault};
-    functional_gemm_batched(stacked_a, b, stacked_c, m, tile, opts);
+    functional_gemm_batched(stacked_a, pack_operand(b, tile), stacked_c, m,
+                            tile, opts);
 
     for (std::int64_t r = 0; r < batch; ++r) {
       Matrix<half_t> want(m, n);
@@ -280,12 +283,13 @@ TEST(FunctionalBatched, PaddingOnlyFaultsStayInert) {
   Matrix<half_t> a(batch * m, k), b(k, n);
   rng.fill_uniform(a);
   rng.fill_uniform(b);
+  const PackedOperand packed = pack_operand(b, tile);
   Matrix<half_t> clean(batch * m, n), faulty(batch * m, n);
-  functional_gemm_batched(a, b, clean, m, tile);
+  functional_gemm_batched(a, packed, clean, m, tile);
   BatchedGemmOptions opts;
   opts.faults.resize(static_cast<std::size_t>(batch));
   opts.faults[0] = {FaultSpec{m, 0, -1, 0x7F000000u}};  // local row == m
-  functional_gemm_batched(a, b, faulty, m, tile, opts);
+  functional_gemm_batched(a, packed, faulty, m, tile, opts);
   EXPECT_TRUE(clean == faulty);
 }
 
@@ -296,6 +300,7 @@ TEST(FunctionalBatched, CoScheduledExtraTasksAllRun) {
   Matrix<half_t> a(batch * m, k), b(k, n);
   rng.fill_uniform(a);
   rng.fill_uniform(b);
+  const PackedOperand packed = pack_operand(b, tile);
   Matrix<half_t> c(batch * m, n), want(batch * m, n);
   std::vector<int> ran(8, 0);
   BatchedGemmOptions opts;
@@ -303,18 +308,21 @@ TEST(FunctionalBatched, CoScheduledExtraTasksAllRun) {
   opts.extra_task = [&](std::int64_t t) {
     ran[static_cast<std::size_t>(t)] = 1;  // disjoint slots
   };
-  functional_gemm_batched(a, b, c, m, tile, opts);
+  functional_gemm_batched(a, packed, c, m, tile, opts);
   for (const int r : ran) EXPECT_EQ(r, 1);
   // The co-scheduled tasks never perturb the numerical result.
-  functional_gemm_batched(a, b, want, m, tile);
+  functional_gemm_batched(a, packed, want, m, tile);
   EXPECT_TRUE(c == want);
 }
 
 TEST(FunctionalBatched, RejectsRaggedStacking) {
   const TileConfig tile{32, 32, 32, 16, 16, 2};
   Matrix<half_t> a(10, 16), b(16, 16), c(10, 16);
-  EXPECT_THROW(functional_gemm_batched(a, b, c, 4, tile), std::logic_error);
-  EXPECT_THROW(functional_gemm_batched(a, b, c, 0, tile), std::logic_error);
+  const PackedOperand packed = pack_operand(b, tile);
+  EXPECT_THROW(functional_gemm_batched(a, packed, c, 4, tile),
+               std::logic_error);
+  EXPECT_THROW(functional_gemm_batched(a, packed, c, 0, tile),
+               std::logic_error);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Packed-operand bit-identity suite: the panel-packed B fast path
-// (gemm/packed_operand) must be byte-identical to the per-call conversion
-// path — outputs, FP32 accumulators, MMA counters, fault semantics and
-// session traces — across tiles, non-divisible shapes, padding-adjacent
-// fault sites and both verification modes. CTest additionally runs this
-// whole binary pinned to AIFT_NUM_THREADS=1/2/8
-// (packed_determinism_threads_*), making worker-count independence of the
-// packed path an explicit CTest fact like the other determinism suites.
+// Packed-operand suite: the panel-packed GEMM — the only B layout the
+// threadblocks read — must reproduce the scalar oracle
+// (tests/gemm/gemm_oracle.hpp) bit for bit: outputs, MMA counters and
+// fault semantics, across tiles, non-divisible shapes and padding-adjacent
+// fault sites. A session packing its weights once must match a session
+// packing per call (pack_weights = false) in outputs and full traces,
+// through both verification modes. CTest additionally runs this whole
+// binary pinned to AIFT_NUM_THREADS=1/2/8 (packed_determinism_threads_*),
+// making worker-count independence an explicit CTest fact like the other
+// determinism suites.
 
 #include "gemm/packed_operand.hpp"
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "../gemm/gemm_oracle.hpp"
 #include "common/rng.hpp"
 #include "gemm/functional.hpp"
 #include "nn/model.hpp"
@@ -58,23 +61,23 @@ TEST(PackedGemmTest, BitIdenticalAcrossShapeZoo) {
     rng.fill_uniform(a);
     rng.fill_uniform(b);
     const PackedOperand packed = pack_operand(b, tile);
+    const Matrix<half_t> want = testing::gemm_oracle(a, b, tile);
 
     for (const bool parallel : {false, true}) {
-      Matrix<half_t> c_raw(shape.m, shape.n), c_packed(shape.m, shape.n);
-      GemmCounters raw_counters, packed_counters;
-      FunctionalOptions raw_opts, packed_opts;
-      raw_opts.parallel = packed_opts.parallel = parallel;
-      raw_opts.counters = &raw_counters;
+      Matrix<half_t> c_packed(shape.m, shape.n);
+      GemmCounters packed_counters;
+      FunctionalOptions packed_opts;
+      packed_opts.parallel = parallel;
       packed_opts.counters = &packed_counters;
-      functional_gemm(a, b, c_raw, tile, raw_opts);
       functional_gemm(a, packed, c_packed, tile, packed_opts);
       const std::string context = "shape " + std::to_string(shape.m) + "x" +
                                   std::to_string(shape.n) + "x" +
                                   std::to_string(shape.k) + " tile " +
                                   tile.name() +
                                   (parallel ? " parallel" : " serial");
-      EXPECT_TRUE(c_raw == c_packed) << context;
-      expect_counters_eq(packed_counters, raw_counters, context);
+      EXPECT_TRUE(c_packed == want) << context;
+      expect_counters_eq(packed_counters,
+                         testing::gemm_oracle_counters(shape, tile), context);
     }
   }
 }
@@ -88,37 +91,16 @@ TEST(PackedGemmTest, BitIdenticalAcrossCandidateTiles) {
   rng.fill_uniform(b);
   for (const TileConfig& tile : candidate_tiles()) {
     const PackedOperand packed = pack_operand(b, tile);
-    Matrix<half_t> c_raw(shape.m, shape.n), c_packed(shape.m, shape.n);
-    functional_gemm(a, b, c_raw, tile);
+    Matrix<half_t> c_packed(shape.m, shape.n);
     functional_gemm(a, packed, c_packed, tile);
-    EXPECT_TRUE(c_raw == c_packed) << tile.name();
-  }
-}
-
-TEST(PackedGemmTest, F32OutBitIdentical) {
-  // The raw FP32 accumulators — not just the FP16-rounded store — agree,
-  // so the identity holds before rounding can mask a difference.
-  const GemmShape shape{33, 65, 40};
-  const TileConfig tile{32, 64, 32, 16, 32, 2};
-  Rng rng(9);
-  Matrix<half_t> a(shape.m, shape.k), b(shape.k, shape.n);
-  rng.fill_uniform(a);
-  rng.fill_uniform(b);
-  const PackedOperand packed = pack_operand(b, tile);
-  Matrix<float> c_raw(shape.m, shape.n), c_packed(shape.m, shape.n);
-  functional_gemm_f32out(a, b, c_raw, tile);
-  functional_gemm_f32out(a, packed, c_packed, tile);
-  for (std::int64_t i = 0; i < shape.m; ++i) {
-    for (std::int64_t j = 0; j < shape.n; ++j) {
-      EXPECT_EQ(c_raw(i, j), c_packed(i, j)) << "(" << i << "," << j << ")";
-    }
+    EXPECT_TRUE(c_packed == testing::gemm_oracle(a, b, tile)) << tile.name();
   }
 }
 
 TEST(PackedGemmTest, FaultSemanticsIdenticalAtPaddingBoundary) {
   // Fault sites hugging the padded edge — last stored row/col, first
-  // padding row/col, and a mid-K step — behave identically: stored faults
-  // corrupt the same element, padding faults stay invisible.
+  // padding row/col, and a mid-K step — behave as the oracle says: stored
+  // faults corrupt their element, padding faults stay invisible.
   const GemmShape shape{33, 65, 40};  // pads to 64 x 128 under this tile
   const TileConfig tile{32, 64, 32, 16, 32, 2};
   Rng rng(11);
@@ -136,10 +118,9 @@ TEST(PackedGemmTest, FaultSemanticsIdenticalAtPaddingBoundary) {
   for (const FaultSpec& fault : sites) {
     FunctionalOptions opts;
     opts.faults = {fault};
-    Matrix<half_t> c_raw(shape.m, shape.n), c_packed(shape.m, shape.n);
-    functional_gemm(a, b, c_raw, tile, opts);
+    Matrix<half_t> c_packed(shape.m, shape.n);
     functional_gemm(a, packed, c_packed, tile, opts);
-    EXPECT_TRUE(c_raw == c_packed)
+    EXPECT_TRUE(c_packed == testing::gemm_oracle(a, b, tile, opts.faults))
         << "fault at (" << fault.row << "," << fault.col << ") step "
         << fault.k8_step;
   }
@@ -157,10 +138,23 @@ TEST(PackedGemmTest, BatchedBitIdenticalWithPerRequestFaults) {
   opts.faults.resize(static_cast<std::size_t>(batch));
   opts.faults[2] = {FaultSpec{1, 2, -1, 0x20000000u}};
   opts.faults[4] = {FaultSpec{m, 0, -1, 0x7F000000u}};  // padding-only: inert
-  Matrix<half_t> c_raw(batch * m, n), c_packed(batch * m, n);
-  functional_gemm_batched(a, b, c_raw, m, tile, opts);
+  Matrix<half_t> c_packed(batch * m, n);
   functional_gemm_batched(a, packed, c_packed, m, tile, opts);
-  EXPECT_TRUE(c_raw == c_packed);
+  // Each request's rows are its standalone oracle GEMM under its own
+  // request-local faults.
+  for (std::int64_t r = 0; r < batch; ++r) {
+    Matrix<half_t> a_r(m, k);
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < k; ++j) a_r(i, j) = a(r * m + i, j);
+    const Matrix<half_t> want = testing::gemm_oracle(
+        a_r, b, tile, opts.faults[static_cast<std::size_t>(r)]);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        EXPECT_EQ(c_packed(r * m + i, j).bits(), want(i, j).bits())
+            << "request " << r << " (" << i << "," << j << ")";
+      }
+    }
+  }
 }
 
 TEST(PackedGemmTest, FingerprintIsStructural) {
@@ -196,9 +190,10 @@ TEST(PackedGemmTest, RejectsIncompatiblePack) {
 }
 
 // Session-level identity: a session serving from construction-time weight
-// packs must match a pack_weights=false session bit for bit — outputs and
-// full traces — through the serial facade, the batched executor (deferred
-// and synchronous verification) and fault-triggered retry paths.
+// packs must match a pack_weights=false session, which packs per call, bit
+// for bit — outputs and full traces — through the serial facade, the
+// batched executor (deferred and synchronous verification) and
+// fault-triggered retry paths.
 class PackedSessionTest : public ::testing::Test {
  protected:
   [[nodiscard]] InferenceSession make_session(ProtectionPolicy policy,
