@@ -79,8 +79,8 @@ void apply_fault(float& acc, std::uint32_t xor_bits) {
   acc = std::bit_cast<float>(std::bit_cast<std::uint32_t>(acc) ^ xor_bits);
 }
 
-// First float of column `col`'s panel group: its k-th row sits 8 * k
-// floats further on.
+// First float of the k-major panel holding column `col`: the panel's k-th
+// 8-float row sits 8 * k floats further on.
 const float* panel_of(const PackedOperand& b, std::int64_t col) {
   return b.panels.data() + (col / MmaShape::kN) * b.kpad * MmaShape::kN;
 }

@@ -20,24 +20,17 @@
 
 namespace aift::testing {
 
+inline float xor_bits(float v, std::uint32_t mask) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) ^ mask);
+}
+
 inline Matrix<half_t> gemm_oracle(const Matrix<half_t>& a,
                                   const Matrix<half_t>& b,
                                   const TileConfig& tile,
                                   const std::vector<FaultSpec>& faults = {}) {
   AIFT_CHECK(a.cols() == b.rows());
   const std::int64_t m = a.rows(), n = b.cols(), k = a.cols();
-  const std::int64_t kpad = (k + tile.kb - 1) / tile.kb * tile.kb;
-  const std::int64_t k8_steps = kpad / MmaShape::kK;
-
-  const auto xor_faults = [&](float& sum, std::int64_t row, std::int64_t col,
-                              auto&& at_this_point) {
-    for (const FaultSpec& f : faults) {
-      if (f.row == row && f.col == col && at_this_point(f.k8_step)) {
-        sum = std::bit_cast<float>(std::bit_cast<std::uint32_t>(sum) ^
-                                   f.xor_bits);
-      }
-    }
-  };
+  const std::int64_t k8_steps = tile.k8_steps(GemmShape{m, n, k});
 
   Matrix<half_t> c(m, n);
   for (std::int64_t i = 0; i < m; ++i) {
@@ -51,11 +44,18 @@ inline Matrix<half_t> gemm_oracle(const Matrix<half_t>& a,
           const float product = av * bv;
           sum = sum + product;
         }
-        xor_faults(sum, i, j, [step](std::int64_t s) { return s == step; });
+        for (const FaultSpec& f : faults) {
+          if (f.row == i && f.col == j && f.k8_step == step) {
+            sum = xor_bits(sum, f.xor_bits);
+          }
+        }
       }
-      xor_faults(sum, i, j, [k8_steps](std::int64_t s) {
-        return s < 0 || s >= k8_steps;
-      });
+      for (const FaultSpec& f : faults) {
+        if (f.row == i && f.col == j &&
+            (f.k8_step < 0 || f.k8_step >= k8_steps)) {
+          sum = xor_bits(sum, f.xor_bits);
+        }
+      }
       c(i, j) = half_t(sum);
     }
   }
@@ -67,14 +67,11 @@ inline Matrix<half_t> gemm_oracle(const Matrix<half_t>& a,
 /// the padded K on (mb / kM) x (nb / kN) MMAs.
 inline GemmCounters gemm_oracle_counters(const GemmShape& shape,
                                          const TileConfig& tile) {
-  const std::int64_t bm = (shape.m + tile.mb - 1) / tile.mb;
-  const std::int64_t bn = (shape.n + tile.nb - 1) / tile.nb;
-  const std::int64_t k8 =
-      (shape.k + tile.kb - 1) / tile.kb * (tile.kb / MmaShape::kK);
   GemmCounters c;
-  c.blocks = bm * bn;
-  c.k8_steps = k8;
-  c.mmas = c.blocks * k8 * (tile.mb / MmaShape::kM) * (tile.nb / MmaShape::kN);
+  c.blocks = tile.grid_blocks(shape);
+  c.k8_steps = tile.k8_steps(shape);
+  c.mmas = c.blocks * c.k8_steps * (tile.mb / MmaShape::kM) *
+           (tile.nb / MmaShape::kN);
   c.fp16_stores = shape.m * shape.n;
   return c;
 }

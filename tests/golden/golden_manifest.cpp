@@ -46,30 +46,24 @@ struct ModelEntry {
 // Batch 1 throughout. A forward pass of Amsterdam does ~30x Coral's GEMM
 // work, so its campaign runs fewer trials: the whole manifest takes a few
 // seconds in a Release build.
-const std::vector<ModelEntry>& model_entries() {
-  static const std::vector<ModelEntry> entries = {
-      {"MLP-Bottom(1)", [] { return zoo::dlrm_mlp_bottom(1); }, 200},
-      {"MLP-Top(1)", [] { return zoo::dlrm_mlp_top(1); }, 200},
-      {"Coral(1)", [] { return zoo::noscope_coral(1); }, 120},
-      {"Amsterdam(1)", [] { return zoo::noscope_amsterdam(1); }, 32},
-  };
-  return entries;
-}
+const ModelEntry kModels[] = {
+    {"MLP-Bottom(1)", [] { return zoo::dlrm_mlp_bottom(1); }, 200},
+    {"MLP-Top(1)", [] { return zoo::dlrm_mlp_top(1); }, 200},
+    {"Coral(1)", [] { return zoo::noscope_coral(1); }, 120},
+    {"Amsterdam(1)", [] { return zoo::noscope_amsterdam(1); }, 32},
+};
 
 struct PolicyEntry {
   const char* key;  // one token, so a manifest line splits on spaces
   ProtectionPolicy policy;
 };
 
-const std::vector<PolicyEntry>& policy_entries() {
-  static const std::vector<PolicyEntry> entries = {
-      {"none", ProtectionPolicy::none},
-      {"global", ProtectionPolicy::global_abft},
-      {"thread-level", ProtectionPolicy::thread_level},
-      {"guided", ProtectionPolicy::intensity_guided},
-  };
-  return entries;
-}
+const PolicyEntry kPolicies[] = {
+    {"none", ProtectionPolicy::none},
+    {"global", ProtectionPolicy::global_abft},
+    {"thread-level", ProtectionPolicy::thread_level},
+    {"guided", ProtectionPolicy::intensity_guided},
+};
 
 void put_u64(std::string& bytes, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -118,9 +112,9 @@ std::vector<std::string> compute_manifest() {
   const GemmCostModel cost(devices::t4());
   const ProtectedPipeline pipe(cost);
   std::vector<std::string> lines;
-  for (const ModelEntry& m : model_entries()) {
+  for (const ModelEntry& m : kModels) {
     const Model model = m.build();
-    for (const PolicyEntry& p : policy_entries()) {
+    for (const PolicyEntry& p : kPolicies) {
       const InferencePlan plan = pipe.plan(model, p.policy);
       const InferenceSession session(plan);
       const SessionResult run = session.run(session.make_input(kInputSeed));
