@@ -26,8 +26,8 @@
 // A third sweep compares the two dispatch modes of the same FIFO policy —
 // batch-boundary (a formed batch runs to retirement before the queue is
 // looked at again) versus continuous (queued requests join the in-flight
-// batch at layer boundaries, and a retiring row's final deferred ABFT
-// check drains behind the next wave's GEMM) — at 1x and 3x of the modeled
+// batch at layer boundaries, and a row retires in the step that runs its
+// last layer) — at 1x and 3x of the modeled
 // batch-16 capacity. Unlike the wall-clock sweeps above, this one runs in
 // *model time*: a deterministic discrete-event simulation of the engine's
 // FIFO dispatch semantics (max_batch, max_delay holds, one batch in

@@ -1,9 +1,8 @@
 // End-to-end protected-inference throughput of the plan -> compile ->
 // execute -> serve stack: plan compilation cache-cold vs cache-warm (the
 // ProfileCache's payoff), clean serving throughput per policy, the batched
-// serving engine's batch-size sweep (deferred vs synchronous
-// verification), and model-level campaign trial throughput (per-trial vs
-// batched engines).
+// serving engine's batch-size sweep, the packed-weights hot path, and
+// model-level campaign trial throughput (per-trial vs batched engines).
 //
 // Emits JSON (the schema of BENCH_session.json at the repo root) to
 // stdout, or to a file when a path is given:
@@ -83,15 +82,12 @@ ServeTiming time_serving(const ProtectedPipeline& pipe, const Model& m,
 struct BatchTiming {
   int batch = 0;
   int requests = 0;
-  double deferred_s = 0.0;  ///< deferred, overlapped verification
-  double sync_s = 0.0;      ///< synchronous per-layer verification
+  double elapsed_s = 0.0;
 
-  [[nodiscard]] double deferred_per_s() const { return requests / deferred_s; }
-  [[nodiscard]] double sync_per_s() const { return requests / sync_s; }
+  [[nodiscard]] double per_s() const { return requests / elapsed_s; }
 };
 
-// Serves `requests` requests in batches of `batch` through the executor,
-// once with deferred and once with synchronous verification.
+// Serves `requests` requests in batches of `batch` through the executor.
 BatchTiming time_batched(const InferenceSession& session, int batch,
                          int requests) {
   BatchTiming t;
@@ -110,13 +106,9 @@ BatchTiming time_batched(const InferenceSession& session, int batch,
     }
     chunks.push_back(std::move(chunk));
   }
-  for (const bool defer : {true, false}) {
-    BatchOptions opts;
-    opts.defer_verification = defer;
-    const auto t0 = Clock::now();
-    for (const auto& chunk : chunks) (void)executor.run(chunk, opts);
-    (defer ? t.deferred_s : t.sync_s) = seconds_since(t0);
-  }
+  const auto t0 = Clock::now();
+  for (const auto& chunk : chunks) (void)executor.run(chunk);
+  t.elapsed_s = seconds_since(t0);
   return t;
 }
 
@@ -190,7 +182,7 @@ int run(int argc, char** argv) {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       const BatchTiming t = time_batched(s, kPackedBatch, kBatchedRequests);
-      const double per_s = t.deferred_per_s();
+      const double per_s = t.per_s();
       if (per_s > best) best = per_s;
     }
     return best;
@@ -272,16 +264,12 @@ int run(int argc, char** argv) {
   for (std::size_t i = 0; i < batched.size(); ++i) {
     const auto& b = batched[i];
     const double serial_per_s = kBatchedRequests / serial_baseline_s;
-    char buf[512];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "      {\"batch\": %d, \"requests\": %d, "
-                  "\"deferred_requests_per_s\": %.1f, "
-                  "\"sync_requests_per_s\": %.1f, "
-                  "\"deferred_speedup_vs_serial_b1\": %.2f, "
-                  "\"sync_speedup_vs_serial_b1\": %.2f}%s\n",
-                  b.batch, b.requests, b.deferred_per_s(), b.sync_per_s(),
-                  b.deferred_per_s() / serial_per_s,
-                  b.sync_per_s() / serial_per_s,
+                  "\"requests_per_s\": %.1f, "
+                  "\"speedup_vs_serial_b1\": %.2f}%s\n",
+                  b.batch, b.requests, b.per_s(), b.per_s() / serial_per_s,
                   i + 1 < batched.size() ? "," : "");
     json += buf;
   }

@@ -6,9 +6,9 @@
 //      a serving process starts without re-profiling;
 //   3. instantiate an InferenceSession from the loaded plan and march a
 //      whole batch through the BatchExecutor: one stacked GEMM per layer,
-//      global-ABFT checks deferred and drained while the next layer runs;
-//   4. inject a soft error into one batch row and watch the deferred check
-//      rewind only that row — siblings are never re-executed;
+//      each layer's global-ABFT checks right after its GEMM;
+//   4. inject a soft error into one batch row and watch its check flag and
+//      re-execute only that row — siblings are never re-executed;
 //   5. compare batched against sequential serving throughput.
 //
 // Build & run:  ./build/batched_serving
@@ -32,9 +32,9 @@ int main() {
   // 1-2. Compile once, persist, reload: the artifact is versioned and
   // fingerprinted, so a mismatched or corrupted file is rejected instead
   // of silently served from. Global ABFT everywhere — the scheme whose
-  // output-checksum reduction the executor defers and overlaps (on this
-  // bandwidth-bound MLP, intensity-guided selection would pick thread-level
-  // ABFT, whose in-kernel check has nothing to defer).
+  // output-checksum reduction runs as a separate pass over each layer's
+  // output (on this bandwidth-bound MLP, intensity-guided selection would
+  // pick thread-level ABFT, whose check is fused into the kernel).
   const auto model = zoo::dlrm_mlp_bottom(1);
   const auto plan = pipe.plan(model, ProtectionPolicy::global_abft);
   const std::string path = "batched_serving_example.plan";
@@ -56,13 +56,8 @@ int main() {
   batch[5].faults = {SessionFault{1, FaultSpec{0, 3, -1, 0x20000000u}, 0}};
 
   const auto result = executor.run(batch);
-  std::printf("\nBatch of %zu: %lld checks deferred behind later GEMMs, "
-              "%lld synchronous, %lld rewind(s), %lld flushed speculative "
-              "execution(s)\n",
-              kBatch, static_cast<long long>(result.stats.deferred_checks),
-              static_cast<long long>(result.stats.synchronous_checks),
-              static_cast<long long>(result.stats.rewinds),
-              static_cast<long long>(result.stats.flushed_executions));
+  std::printf("\nBatch of %zu: %lld checks, each right after its GEMM\n",
+              kBatch, static_cast<long long>(result.stats.synchronous_checks));
   const auto& faulted = result.requests[5];
   std::printf("Row 5: layer 1 flagged %d time(s), %d retr%s, %s\n",
               faulted.layers[1].detections, faulted.total_retries(),
@@ -72,7 +67,7 @@ int main() {
   for (std::size_t r = 0; r < kBatch; ++r) {
     if (r != 5) sibling_retries += result.requests[r].total_retries();
   }
-  std::printf("Sibling rows: %d retries (the rewind never touched them)\n",
+  std::printf("Sibling rows: %d retries (the recovery never touched them)\n",
               sibling_retries);
 
   // Batched must equal sequential bit for bit — demonstrate, don't assume.

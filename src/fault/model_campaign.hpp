@@ -96,7 +96,7 @@ void classify_model_trial(ModelCampaignStats& stats, std::size_t layer,
 /// independent sessions. Trials are grouped by their faulted layer (each
 /// group shares the cached clean activation feeding that layer, keeping
 /// the serial engine's prefix skip) and marched through the BatchExecutor
-/// up to `batch_rows` at a time with deferred, overlapped verification —
+/// up to `batch_rows` at a time, each layer checked right after its GEMM —
 /// one stacked GEMM per layer per group instead of one GEMM per layer per
 /// trial. Bit-identical ModelCampaignStats to run_model_campaign at any
 /// batch_rows and any AIFT_NUM_THREADS: per-trial outcomes are unchanged

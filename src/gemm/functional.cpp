@@ -153,9 +153,7 @@ void store_tile(Matrix<half_t>& c, const TileConfig& tile, std::int64_t r0,
 // accumulation order a function of the K decomposition only — the
 // stacking invariant rests on that property.
 void run_blocks_on(const float* af, const PackedOperand& b, Matrix<half_t>& c,
-                   const TileConfig& tile, const FunctionalOptions& opts,
-                   std::int64_t extra_tasks,
-                   const std::function<void(std::int64_t)>* extra_task) {
+                   const TileConfig& tile, const FunctionalOptions& opts) {
   const std::int64_t m = c.rows(), n = c.cols(), kpad = b.kpad;
   const std::int64_t k8_per_block = kpad / MmaShape::kK;
   const std::int64_t bm = (m + tile.mb - 1) / tile.mb;
@@ -172,12 +170,6 @@ void run_blocks_on(const float* af, const PackedOperand& b, Matrix<half_t>& c,
       static_cast<std::int64_t>(opts.faults.size())};
 
   auto body = [&](std::int64_t block) {
-    if (block >= bm * bn) {
-      // Co-scheduled non-GEMM work (deferred verification drains) rides the
-      // same parallel region as the threadblocks.
-      (*extra_task)(block - bm * bn);
-      return;
-    }
     const std::int64_t bi = block / bn;
     const std::int64_t bj = block % bn;
     const std::int64_t r0 = bi * tile.mb;
@@ -240,9 +232,9 @@ void run_blocks_on(const float* af, const PackedOperand& b, Matrix<half_t>& c,
   };
 
   if (opts.parallel) {
-    parallel_for(0, bm * bn + extra_tasks, body);
+    parallel_for(0, bm * bn, body);
   } else {
-    serial_for(0, bm * bn + extra_tasks, body);
+    serial_for(0, bm * bn, body);
   }
 
   if (opts.counters != nullptr) {
@@ -256,11 +248,9 @@ void run_blocks_on(const float* af, const PackedOperand& b, Matrix<half_t>& c,
 // Entry of every GEMM: A is staged per call (activations change every
 // layer), B is the caller's pack. The one-shot wrapper packs B first,
 // outside this body, so the hot path allocates nothing of its own.
-void run_blocks_packed(
-    const Matrix<half_t>& a, const PackedOperand& b, Matrix<half_t>& c,
-    const TileConfig& tile, const FunctionalOptions& opts,
-    std::int64_t extra_tasks = 0,
-    const std::function<void(std::int64_t)>* extra_task = nullptr) {
+void run_blocks_packed(const Matrix<half_t>& a, const PackedOperand& b,
+                       Matrix<half_t>& c, const TileConfig& tile,
+                       const FunctionalOptions& opts) {
   AIFT_CHECK_MSG(tile.valid(), "invalid tile config " << tile.name());
   AIFT_CHECK(a.cols() == b.rows);
   AIFT_CHECK(c.rows() == a.rows() && c.cols() == b.cols);
@@ -273,7 +263,7 @@ void run_blocks_packed(
   const std::int64_t bm = (a.rows() + tile.mb - 1) / tile.mb;
   const float* af =
       stage_f32_padded(ScratchSlot::gemm_staged_a, a, bm * tile.mb, b.kpad);
-  run_blocks_on(af, b, c, tile, opts, extra_tasks, extra_task);
+  run_blocks_on(af, b, c, tile, opts);
 }
 
 // Validation + request-local fault translation of the batched entry point.
@@ -287,7 +277,6 @@ FunctionalOptions batched_options(const BatchedGemmOptions& opts,
   const std::int64_t batch = a_rows / rows_per_request;
   AIFT_CHECK(opts.faults.empty() ||
              static_cast<std::int64_t>(opts.faults.size()) == batch);
-  AIFT_CHECK(opts.extra_tasks == 0 || opts.extra_task != nullptr);
 
   // Request-local fault coordinates shift into the request's row band.
   FunctionalOptions fopts;
@@ -321,9 +310,8 @@ void functional_gemm_batched(const Matrix<half_t>& a, const PackedOperand& b,
                              Matrix<half_t>& c, std::int64_t rows_per_request,
                              const TileConfig& tile,
                              const BatchedGemmOptions& opts) {
-  const FunctionalOptions fopts =
-      batched_options(opts, a.rows(), rows_per_request);
-  run_blocks_packed(a, b, c, tile, fopts, opts.extra_tasks, &opts.extra_task);
+  run_blocks_packed(a, b, c, tile,
+                    batched_options(opts, a.rows(), rows_per_request));
 }
 
 Matrix<float> reference_gemm(const Matrix<half_t>& a, const Matrix<half_t>& b) {

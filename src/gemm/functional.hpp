@@ -10,7 +10,6 @@
 // a chosen k8-step, then propagate naturally to the stored output.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/half.hpp"
@@ -72,21 +71,13 @@ struct BatchedGemmOptions {
   /// padding and never reach a stored output — are dropped rather than
   /// translated, so they stay inert instead of corrupting a sibling row.
   std::vector<std::vector<FaultSpec>> faults;
-  /// Extra independent work items co-scheduled with the GEMM threadblocks
-  /// in the same parallel region: extra_task(t) runs once for each t in
-  /// [0, extra_tasks) on the worker pool, interleaved with the blocks. The
-  /// batched executor drains the previous layer's deferred ABFT
-  /// verifications here, hiding their cost behind this GEMM (§2.5 step 5).
-  /// Tasks must write disjoint state; execution order is unspecified.
-  std::int64_t extra_tasks = 0;
-  std::function<void(std::int64_t)> extra_task;
 };
 
 /// One GEMM for B stacked requests sharing the packed weight matrix: `a`
 /// holds the B requests' activation rows stacked vertically
 /// (B * rows_per_request x K) and `c` receives the stacked outputs
 /// (B * rows_per_request x N). The serving engine packs each layer's
-/// weights once at session construction, and every wave, rewind and
+/// weights once at session construction, and every wave, retry and
 /// campaign trial serves from the same pack.
 ///
 /// Bit-identical per request to running each request's GEMM alone: an

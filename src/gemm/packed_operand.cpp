@@ -3,36 +3,6 @@
 #include "common/check.hpp"
 
 namespace aift {
-namespace {
-
-// Structural FNV-1a 64, field-by-field like CalibrationTable::fingerprint:
-// cheap, stable across platforms, and any bit of the operand or the pack
-// geometry flips it.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
-  }
-}
-
-std::uint64_t fingerprint_of(const Matrix<half_t>& b, const TileConfig& tile) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(b.rows()));
-  fnv_mix(h, static_cast<std::uint64_t>(b.cols()));
-  fnv_mix(h, static_cast<std::uint64_t>(tile.kb));
-  fnv_mix(h, static_cast<std::uint64_t>(tile.nb));
-  for (std::int64_t r = 0; r < b.rows(); ++r) {
-    for (std::int64_t c = 0; c < b.cols(); ++c) {
-      fnv_mix(h, b(r, c).bits());
-    }
-  }
-  return h;
-}
-
-}  // namespace
 
 bool PackedOperand::compatible(std::int64_t b_rows, std::int64_t b_cols,
                                const TileConfig& tile) const {
@@ -57,13 +27,7 @@ PackedOperand pack_operand(const Matrix<half_t>& b, const TileConfig& tile) {
       strip[r * 8] = b(r, c).to_float();
     }
   }
-  p.fingerprint = fingerprint_of(b, tile);
   return p;
-}
-
-std::uint64_t packed_fingerprint(const Matrix<half_t>& b,
-                                 const TileConfig& tile) {
-  return fingerprint_of(b, tile);
 }
 
 }  // namespace aift

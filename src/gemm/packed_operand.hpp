@@ -14,9 +14,9 @@
 // request, retry and campaign trial, so sessions pack them once at
 // construction. A one-shot functional_gemm(a, Matrix b, ...) packs per
 // call, which is the same layout and so the same result by construction.
-// The pack is keyed by the tile geometry it was padded for (kb, nb) and
-// fingerprinted like ProfileCache entries so cached packs can be validated
-// against the plan they serve.
+// The pack records the tile geometry it was padded for (kb, nb); the GEMM
+// rejects a pack that is not compatible() with the operand and tile it is
+// asked to serve.
 
 #include <cstdint>
 #include <vector>
@@ -41,9 +41,6 @@ struct PackedOperand {
   /// columns of an MMA group are contiguous per k row and a panel streams
   /// sequentially over k.
   std::vector<float> panels;
-  /// FNV-1a over the source bits and the pack geometry — the identity
-  /// under which a plan/session layer caches this pack.
-  std::uint64_t fingerprint = 0;
 
   [[nodiscard]] bool empty() const { return panels.empty(); }
   /// The pack serves a GEMM against a `b_rows` x `b_cols` B under `tile`:
@@ -56,9 +53,5 @@ struct PackedOperand {
 /// produce interchangeable packs.
 [[nodiscard]] PackedOperand pack_operand(const Matrix<half_t>& b,
                                          const TileConfig& tile);
-
-/// The fingerprint pack_operand(b, tile) would produce, without packing.
-[[nodiscard]] std::uint64_t packed_fingerprint(const Matrix<half_t>& b,
-                                               const TileConfig& tile);
 
 }  // namespace aift

@@ -48,7 +48,7 @@ void apply_activation(Matrix<half_t>& m, Activation a);
 /// by repack into a rows x cols matrix, without modifying `prev`. Produces
 /// bit-identical output to apply_activation + repack_activations — each
 /// output element is half(activate_value(prev(...))) either way — while
-/// leaving `prev` available for deferred verification and output digests.
+/// leaving `prev` available for output digests and the finished result.
 [[nodiscard]] Matrix<half_t> activate_and_repack(const Matrix<half_t>& prev,
                                                  Activation a,
                                                  std::int64_t rows,

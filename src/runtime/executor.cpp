@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -16,10 +17,9 @@ namespace {
 // value — including a bare sign flip, which leaves Σ|x| alone — moves it.
 // Iterating the request-local matrix row-major matches the per-request
 // digest of the serial path exactly.
-double digest_rows(const Matrix<half_t>& m, std::int64_t row_begin,
-                   std::int64_t row_end) {
+double digest(const Matrix<half_t>& m) {
   double sum = 0.0;
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
     for (std::int64_t c = 0; c < m.cols(); ++c) {
       const double x = m(r, c).to_float();
       sum += x + 3.0 * std::abs(x);
@@ -126,7 +126,6 @@ std::int64_t ContinuousBatch::admit(BatchRequest request,
   }
   Row row;
   row.id = next_id_++;
-  row.first_layer = first_layer;
   row.cursor = first_layer;
   row.a = std::move(request.input);
   row.faults = std::move(request.faults);
@@ -147,32 +146,14 @@ void ContinuousBatch::step() {
   const std::size_t num_layers = layers.size();
 
   // Rows grouped by layer cursor (ascending layer, admission order within
-  // a group — mid-flight joins put rows at heterogeneous cursors), plus
-  // the rows whose deferred check of the previous boundary must drain.
+  // a group — mid-flight joins put rows at heterogeneous cursors).
   std::map<std::size_t, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> drain;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i].cursor < num_layers) groups[rows_[i].cursor].push_back(i);
-    if (rows_[i].pending) drain.push_back(i);
+    groups[rows_[i].cursor].push_back(i);
   }
 
-  // Drains row `drain[t]`'s deferred check against its retained operands.
-  // Runs co-scheduled with this step's first GEMM (disjoint slots per row).
-  const auto drain_check = [&](std::int64_t t) {
-    Row& row = rows_[drain[static_cast<std::size_t>(t)]];
-    const auto& layer = layers[row.cursor - 1];
-    row.flagged = session_->check_layer(layer, row.prev_a, row.prev_c) ? 1 : 0;
-    row.drained_digest =
-        digest_rows(row.prev_c, 0, layer.entry.layer.gemm.m);
-  };
-
-  // Phase 1 — one stacked GEMM per cursor group, the previous boundary's
-  // deferred verifications co-scheduled into the first group's parallel
-  // region: the checksum reductions of one layer hide behind the next
-  // layer's compute (§2.5 step 5). Checks of already-retired rows drain
-  // behind GEMMs of rows admitted after them — the cross-batch overlap.
+  // Phase 1 — one stacked GEMM per cursor group.
   std::vector<Matrix<half_t>> outputs(rows_.size());
-  bool checks_scheduled = drain.empty();
   for (const auto& [li, members] : groups) {
     const auto& layer = layers[li];
     const GemmShape& shape = layer.entry.layer.gemm;
@@ -181,11 +162,6 @@ void ContinuousBatch::step() {
     gopts.faults.resize(members.size());
     for (std::size_t g = 0; g < members.size(); ++g) {
       gopts.faults[g] = faults_for(rows_[members[g]], li, 0);
-    }
-    if (!checks_scheduled) {
-      gopts.extra_tasks = static_cast<std::int64_t>(drain.size());
-      gopts.extra_task = drain_check;
-      checks_scheduled = true;
     }
     if (members.size() == 1) {
       // A group of one needs no band stacking: the row's matrices feed the
@@ -209,71 +185,16 @@ void ContinuousBatch::step() {
       }
     }
   }
-  if (!checks_scheduled) {
-    // Retirement-only step: every row is past its last layer, so the final
-    // checks have no GEMM to hide behind (the closed-batch final drain).
-    const auto n = static_cast<std::int64_t>(drain.size());
-    if (opts_.parallel) {
-      parallel_for(0, n, drain_check);
-    } else {
-      serial_for(0, n, drain_check);
-    }
-  }
-  stats_.deferred_checks += static_cast<std::int64_t>(drain.size());
-  if (!groups.empty()) {
-    for (const std::size_t i : drain) {
-      if (rows_[i].cursor >= num_layers) ++stats_.cross_batch_overlapped;
-    }
-  }
 
-  // Phase 2 — resolve the drained checks strictly in admission order. A
-  // clean check commits the digest; a flagged one rewinds only that row:
-  // synchronous recovery from its retained input, and — when the row
-  // already executed this step's layer speculatively — that execution is
-  // flushed and redone from the recovered activation.
-  for (const std::size_t i : drain) {
-    Row& row = rows_[i];
-    row.pending = false;
-    const std::size_t checked = row.cursor - 1;
-    LayerTrace& trace = row.res.layers[checked - row.first_layer];
-    if (row.flagged == 0) {
-      trace.output_digest = row.drained_digest;
-      continue;
-    }
-    ++stats_.rewinds;
-    recover_row(row, checked, row.prev_a, row.prev_c, trace);
-    trace.output_digest =
-        digest_rows(row.prev_c, 0, layers[checked].entry.layer.gemm.m);
-    if (row.cursor < num_layers) {
-      ++stats_.flushed_executions;
-      const auto& layer = layers[row.cursor];
-      const GemmShape& shape = layer.entry.layer.gemm;
-      row.a = activate_and_repack(row.prev_c, sopts.activation, shape.m,
-                                  shape.k);
-      Matrix<half_t> c(shape.m, shape.n);
-      FunctionalOptions fopts;
-      fopts.parallel = opts_.parallel;
-      fopts.faults = faults_for(row, row.cursor, 0);  // architectural attempt 0
-      session_->layer_gemm(row.cursor, row.a, c, fopts);
-      outputs[i] = std::move(c);
-    }
-  }
-
-  // Phase 3 — this step's own verification. Global ABFT defers into the
-  // next boundary (or the final drain); the in-kernel schemes check
-  // synchronously, exactly like the serial path. Each synchronous check is
-  // a pure function of its row's operands, so every flag is computed in
-  // one fan-out; recoveries, stats and traces then resolve per executed
-  // row in admission order.
-  const auto checks_now = [&](const Row& row) {
-    if (row.cursor >= num_layers) return false;  // retirement-only row
-    const Scheme scheme = layers[row.cursor].entry.scheme();
-    return scheme != Scheme::none &&
-           !(opts_.defer_verification && scheme == Scheme::global_abft);
-  };
+  // Phase 2 — every protected layer checks synchronously, right after its
+  // GEMM, exactly like the serial path. Each check is a pure function of
+  // its row's operands, so every flag is computed in one fan-out;
+  // recoveries, stats and traces then resolve per row in admission order.
   std::vector<std::size_t> checked;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (checks_now(rows_[i])) checked.push_back(i);
+    if (layers[rows_[i].cursor].entry.scheme() != Scheme::none) {
+      checked.push_back(i);
+    }
   }
   std::vector<char> flags(rows_.size(), 0);
   const auto check_body = [&](std::int64_t t) {
@@ -290,46 +211,32 @@ void ContinuousBatch::step() {
   }
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     Row& row = rows_[i];
-    if (row.cursor >= num_layers) continue;  // retirement-only row
     const auto& layer = layers[row.cursor];
-    const GemmShape& shape = layer.entry.layer.gemm;
     Matrix<half_t>& c = outputs[i];
     LayerTrace trace;
     trace.name = layer.entry.layer.name;
     trace.scheme = layer.entry.scheme();
     trace.executions = 1;
-    if (opts_.defer_verification &&
-        layer.entry.scheme() == Scheme::global_abft) {
-      row.pending = true;
-    } else if (layer.entry.scheme() == Scheme::none) {
-      trace.output_digest = digest_rows(c, 0, shape.m);
-    } else {
+    if (layer.entry.scheme() != Scheme::none) {
       ++stats_.synchronous_checks;
-      if (flags[i] != 0) {
-        recover_row(row, row.cursor, row.a, c, trace);
-      }
-      trace.output_digest = digest_rows(c, 0, shape.m);
+      if (flags[i] != 0) recover_row(row, row.cursor, row.a, c, trace);
     }
+    trace.output_digest = digest(c);
     row.res.layers.push_back(std::move(trace));
   }
 
-  // Phase 4 — advance every executed row past the boundary, retaining its
-  // operands one step for the deferred drain, and derive the next layer's
-  // activation (speculative for rows with a pending check). The per-row
-  // activations are independent, so they fan out over the pool.
+  // Phase 3 — advance every row past the boundary and derive the next
+  // layer's activation. The per-row activations are independent, so they
+  // fan out over the pool.
   std::vector<std::size_t> activate;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    Row& row = rows_[i];
-    if (row.cursor >= num_layers) continue;
-    row.prev_a = std::move(row.a);
-    row.prev_c = std::move(outputs[i]);
-    ++row.cursor;
-    if (row.cursor < num_layers) activate.push_back(i);
+    if (++rows_[i].cursor < num_layers) activate.push_back(i);
   }
   const auto activate_body = [&](std::int64_t t) {
-    Row& row = rows_[activate[static_cast<std::size_t>(t)]];
+    const std::size_t i = activate[static_cast<std::size_t>(t)];
+    Row& row = rows_[i];
     const GemmShape& next = layers[row.cursor].entry.layer.gemm;
-    row.a = activate_and_repack(row.prev_c, sopts.activation, next.m, next.k);
+    row.a = activate_and_repack(outputs[i], sopts.activation, next.m, next.k);
   };
   if (opts_.parallel) {
     parallel_for(0, static_cast<std::int64_t>(activate.size()),
@@ -338,18 +245,16 @@ void ContinuousBatch::step() {
     serial_for(0, static_cast<std::int64_t>(activate.size()), activate_body);
   }
 
-  // Retirement — rows past their last layer with no check outstanding
-  // leave the batch. A row whose final check is still deferred stays one
-  // more step, its reduction hiding behind the next step's GEMMs.
-  for (auto it = rows_.begin(); it != rows_.end();) {
-    if (it->cursor >= num_layers && !it->pending) {
-      it->res.output = std::move(it->prev_c);
-      finished_.emplace_back(it->id, std::move(it->res));
-      it = rows_.erase(it);
-    } else {
-      ++it;
-    }
+  // Retirement — a row leaves the batch in the step that runs its last
+  // layer; the survivors keep their admission order.
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    Row& row = rows_[i];
+    if (row.cursor < num_layers) continue;
+    row.res.output = std::move(outputs[i]);
+    finished_.emplace_back(row.id, std::move(row.res));
   }
+  std::erase_if(rows_,
+                [&](const Row& row) { return row.cursor >= num_layers; });
 }
 
 BatchResult BatchExecutor::run(const std::vector<BatchRequest>& batch,

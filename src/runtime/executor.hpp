@@ -6,29 +6,31 @@
 // layer-by-layer: every layer runs as a single stacked GEMM for the whole
 // batch (functional_gemm_batched — the requests share weights and the
 // tile-padding waste of small-M serving shapes is amortized across the
-// batch), and each global-ABFT layer's output-checksum reduction is
-// deferred into a verification queue that drains *while the next layer's
-// GEMM runs* — the overlap the paper exploits to hide ABFT cost behind
-// unexploited compute in memory-bound GEMMs (§2.5 step 5).
+// batch), and every protected layer's check runs synchronously right
+// after that GEMM, one fan-out over the batch's rows.
 //
-// A drained check that flags rewinds only the faulted request: its
-// speculative next-layer execution is flushed, the layer re-executes from
-// the request's retained clean input under the session's retry budget, and
-// the request rejoins the batch. Sibling requests are never re-executed.
+// A check that flags recovers only the faulted request: the layer
+// re-executes from the request's own input under the session's retry
+// budget before the request advances. Sibling requests are never
+// re-executed.
+//
+// The paper hides global ABFT's output-checksum reduction behind the next
+// layer's memory-bound GEMM (§2.5 step 5). On a GPU the two kernels use
+// different resources; on this CPU port both compete for the same cores,
+// and a paired A/B measured the synchronous check as fast or faster on
+// every served workload, so the engine does not defer.
 //
 // The batch need not be closed: ContinuousBatch is the streaming core the
 // executor itself runs on. Rows are admitted individually at any layer
 // boundary, advance one layer per step() grouped into stacked GEMMs by
-// layer cursor, and retire independently — a retiring row's final deferred
-// check drains behind whatever GEMM the *remaining* (or newly admitted)
-// rows run next, so the last layer's reduction of batch N hides behind
-// batch N+1's first GEMM instead of dying at the batch boundary.
+// layer cursor, and retire independently, in the step that runs their
+// last layer.
 //
 // The invariant that makes all of this safe is testable and CTest-pinned:
 // outputs and per-layer traces are bit-identical to running the B requests
 // sequentially through InferenceSession::run, at any batch size, at any
-// AIFT_NUM_THREADS, with verification deferred or synchronous, and under
-// any join/leave interleaving of the continuous form.
+// AIFT_NUM_THREADS, and under any join/leave interleaving of the
+// continuous form.
 
 #include <cstdint>
 #include <utility>
@@ -47,31 +49,18 @@ struct BatchRequest {
 };
 
 struct BatchOptions {
-  /// Fan the stacked GEMMs, verification drains and inter-layer flow out
-  /// over the worker pool. Parallel and serial execution are bit-identical.
+  /// Fan the stacked GEMMs, checks and inter-layer flow out over the
+  /// worker pool. Parallel and serial execution are bit-identical.
   bool parallel = true;
-  /// Defer each global-ABFT layer's output-checksum reduction and drain it
-  /// during the next layer's GEMM (the paper's overlap). When false every
-  /// check runs synchronously after its layer, like InferenceSession::run.
-  /// Both modes produce bit-identical results and traces — deferral only
-  /// moves *when* checks execute, never what they compute.
-  bool defer_verification = true;
 };
 
 /// Engine-level counters of one batched run (the per-request architectural
 /// story — detections, retries, digests — lives in the SessionResults).
 struct BatchStats {
-  std::int64_t deferred_checks = 0;   ///< checks drained behind a later GEMM
+  /// Always 0: every check runs synchronously after its GEMM. Kept for
+  /// the benchmark replay, which still reports the counter.
+  std::int64_t deferred_checks = 0;
   std::int64_t synchronous_checks = 0;  ///< attempt-0 checks run in-line
-  std::int64_t rewinds = 0;  ///< deferred detections that rolled a row back
-  /// Speculative next-layer executions discarded by a rewind (never counted
-  /// in any LayerTrace — traces record architecturally retired executions).
-  std::int64_t flushed_executions = 0;
-  /// Deferred checks of already-retired rows drained behind a later step's
-  /// GEMM — the cross-batch overlap continuous batching unlocks. A closed
-  /// run()/run_from() batch retires all rows together, so its final drain
-  /// has no GEMM to hide behind and this stays 0 there.
-  std::int64_t cross_batch_overlapped = 0;
 
   friend bool operator==(const BatchStats&, const BatchStats&) = default;
 };
@@ -87,11 +76,8 @@ struct BatchResult {
 /// and leave at layer boundaries. Each step() advances every in-flight row
 /// one layer — rows sharing a layer cursor execute as one stacked GEMM,
 /// rows at different cursors (mid-flight joins) run as separate per-layer
-/// groups in the same step — and drains all deferred checks of the
-/// previous boundary behind the first GEMM it issues. A row whose final
-/// deferred check is still pending stays in flight one extra step, so its
-/// last-layer reduction hides behind the next step's GEMMs (including
-/// GEMMs of rows admitted after it: the cross-batch overlap).
+/// groups in the same step — then checks every row's protected layer and
+/// retires the rows that just ran their last layer.
 ///
 /// Admission at a layer boundary never changes a row's SessionResult:
 /// every row retires bit-identical to a standalone InferenceSession::run,
@@ -131,18 +117,10 @@ class ContinuousBatch {
  private:
   struct Row {
     std::int64_t id = 0;
-    std::size_t first_layer = 0;
     std::size_t cursor = 0;   // next layer this row executes
     Matrix<half_t> a;         // input activation of layer `cursor`
     std::vector<SessionFault> faults;
     SessionResult res;
-    // Deferred global-ABFT check of layer cursor-1, plus the operands it
-    // runs against (already request-local — no band extraction needed).
-    bool pending = false;
-    Matrix<half_t> prev_a;
-    Matrix<half_t> prev_c;
-    char flagged = 0;           // drain slot (disjoint per row)
-    double drained_digest = 0;  // drain slot (disjoint per row)
   };
 
   [[nodiscard]] std::vector<FaultSpec> faults_for(const Row& row,

@@ -8,8 +8,8 @@
 
 namespace aift {
 
-RecoveryAnalysis analyze_recovery(const PipelinePlan& plan,
-                                  double fault_probability) {
+RecoveryAnalysis analyze_recovery(const InferencePlan& plan,
+                                   double fault_probability) {
   AIFT_CHECK(fault_probability >= 0.0 && fault_probability < 1.0);
   RecoveryAnalysis out;
   out.fault_probability_per_layer = fault_probability;

@@ -33,8 +33,8 @@ struct RecoveryAnalysis {
 /// layer execution independently suffers a detectable fault with
 /// probability p (p < 1). A flagged layer repeats until clean; retries of
 /// a layer cost its protected time T_r.
-[[nodiscard]] RecoveryAnalysis analyze_recovery(const PipelinePlan& plan,
-                                                double fault_probability);
+[[nodiscard]] RecoveryAnalysis analyze_recovery(
+    const InferencePlan& plan, double fault_probability);
 
 /// Monte-Carlo cross-check of analyze_recovery's expected-retry math
 /// against the real executor.

@@ -34,10 +34,9 @@
 // Orthogonal to the scheduler, BatchPolicy::continuous decides only how
 // many rows a wave may admit. A continuous shard tops its open batch back
 // up to max_batch rows at every boundary instead of waiting for the
-// previous batch to retire; retiring rows leave at a boundary too, so
-// their final deferred ABFT reduction hides behind the next wave's first
-// GEMM — the cross-batch overlap that closed batches lose at every batch
-// tail. A closed shard admits a wave only when idle, so its batch runs
+// previous batch to retire; a row leaves the batch in the step that runs
+// its last layer, so its slot is free for the next wave at the very next
+// boundary. A closed shard admits a wave only when idle, so its batch runs
 // exactly what BatchExecutor::run runs: admit all, step until idle.
 //
 // Either way, every submit() returns a future whose SessionResult is
@@ -139,9 +138,8 @@ struct BatchPolicy {
   /// max_batch rows in flight. The hold policy (max_delay /
   /// dispatch_margin / full) governs only *starting* an idle shard; once
   /// rows are in flight, queued requests join at the very next boundary
-  /// capacity allows — that immediacy is the point. Retiring rows hand
-  /// their final deferred check to the next wave's first GEMM (cross-batch
-  /// overlap). Admission never changes a served row's SessionResult.
+  /// capacity allows — that immediacy is the point. Admission never
+  /// changes a served row's SessionResult.
   bool continuous = false;
 };
 
@@ -298,8 +296,8 @@ class ServingEngine {
     /// sleeps in real time, so fake timestamps would silently produce
     /// nonsense scheduling.
     ClockFn clock;
-    /// Options of every shard's ContinuousBatch (parallel execution with
-    /// deferred, overlapped verification by default).
+    /// Options of every shard's ContinuousBatch (parallel execution by
+    /// default).
     BatchOptions batch;
     /// Observability / admission hook, invoked off-lock just before each
     /// non-empty wave is admitted. An exception thrown here fails only

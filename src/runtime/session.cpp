@@ -66,10 +66,10 @@ InferenceSession::InferenceSession(InferencePlan plan, SessionOptions opts)
                            ReplicationKind::single_accumulation);
         break;
     }
-    if (layer.thread && opts_.pack_weights) {
-      // Like the operand pack: the per-lane Bt checksums are a pure
-      // function of the immutable weights and tile, so build them once
-      // here instead of once per request-check on the serving path.
+    if (layer.thread) {
+      // The per-lane Bt checksums are a pure function of the immutable
+      // weights and tile, so build them once here instead of once per
+      // request-check, whatever pack_weights says.
       layer.thread->prepare(layer.weights);
     }
     layers_.push_back(std::move(layer));
@@ -168,14 +168,13 @@ SessionResult InferenceSession::run_from(std::size_t first_layer,
                                          const Matrix<half_t>& a_first,
                                          const SessionRunOptions& run_opts)
     const {
-  // Thin facade: a batch of one with synchronous verification is exactly
-  // the serial check-then-advance path.
+  // Thin facade: a batch of one is exactly the serial check-then-advance
+  // path.
   std::vector<BatchRequest> batch(1);
   batch[0].input = a_first;
   batch[0].faults = run_opts.faults;
   BatchOptions bopts;
   bopts.parallel = run_opts.parallel;
-  bopts.defer_verification = false;
   BatchResult result = BatchExecutor(*this).run_from(first_layer, batch, bopts);
   return std::move(result.requests.front());
 }

@@ -85,7 +85,7 @@ struct SessionOptions {
   /// Activation applied between layers (never to the final output).
   Activation activation = Activation::squash;
   /// Pack each layer's weights once at construction (gemm/packed_operand):
-  /// every run, batch wave, rewind and campaign trial then serves from the
+  /// every run, batch wave, retry and campaign trial then serves from the
   /// cached pack. `false` packs on every GEMM call instead — the same
   /// layout and so the same result by construction, at the cost of one
   /// conversion per call; benches use it as the per-call baseline.
@@ -136,9 +136,9 @@ class InferenceSession {
   struct Layer {
     LayerPlanEntry entry;
     Matrix<half_t> weights;  // K x N
-    // The weights packed for entry.exec_tile() (pack_weights; fingerprinted
-    // like ProfileCache entries). Weights are immutable for the session's
-    // lifetime, so the pack is built exactly once, here.
+    // The weights packed for entry.exec_tile() (pack_weights). Weights are
+    // immutable for the session's lifetime, so the pack is built exactly
+    // once, here.
     std::optional<PackedOperand> packed;
     // Checker instance matching entry.scheme() (at most one engaged).
     std::optional<GlobalAbft> global;
@@ -158,7 +158,7 @@ class InferenceSession {
 
   // The one place execution chooses between the construction-time pack and
   // a pack made per call (pack_weights = false) — every layer GEMM (serial,
-  // batched, retry, speculative re-execution) funnels through these.
+  // batched, retry) funnels through these.
   void layer_gemm(std::size_t layer, const Matrix<half_t>& a,
                   Matrix<half_t>& c, const FunctionalOptions& opts) const;
   void layer_gemm_batched(std::size_t layer, const Matrix<half_t>& a,

@@ -74,8 +74,8 @@ TEST(ScratchTest, RepeatPackedGemmAllocatesNothing) {
 
 TEST(ScratchTest, SteadyStateServingRoundAllocatesNothing) {
   // The regression guard of the packed hot path: after one warm-up round,
-  // an identical batched serving round — every layer GEMM, every retry,
-  // both verification modes — performs zero scratch allocations. Serial
+  // an identical batched serving round — every layer GEMM, every check,
+  // every retry — performs zero scratch allocations. Serial
   // execution keeps the block->thread assignment deterministic, so "warm"
   // is well defined (a parallel round could lazily hand a block to a
   // still-cold worker without that being a regression).
@@ -99,23 +99,20 @@ TEST(ScratchTest, SteadyStateServingRoundAllocatesNothing) {
   // A faulty request exercises the retry GEMM in the steady round too.
   batch[1].faults = {SessionFault{1, FaultSpec{0, 0, -1, 0x20000000u}, 0}};
 
-  for (const bool defer : {false, true}) {
-    BatchOptions opts;
-    opts.parallel = false;
-    opts.defer_verification = defer;
-    (void)executor.run(batch, opts);  // warm-up round
-    reset_scratch_stats();
-    (void)executor.run(batch, opts);  // steady-state round
-    const ScratchStats stats = scratch_stats();
-    EXPECT_EQ(stats.misses, 0) << (defer ? "deferred" : "synchronous");
-    EXPECT_GT(stats.hits, 0) << (defer ? "deferred" : "synchronous");
-  }
+  BatchOptions opts;
+  opts.parallel = false;
+  (void)executor.run(batch, opts);  // warm-up round
+  reset_scratch_stats();
+  (void)executor.run(batch, opts);  // steady-state round
+  const ScratchStats stats = scratch_stats();
+  EXPECT_EQ(stats.misses, 0);
+  EXPECT_GT(stats.hits, 0);
 }
 
 TEST(ScratchTest, SteadyStateThreadCheckRoundAllocatesNothing) {
   // The same guard over the thread-level check: its decoded A and C and
   // its checksum work buffers come from the check slots, so after one
-  // warm-up round a synchronous serial round on an intensity-guided plan
+  // warm-up round a serial round on an intensity-guided plan
   // — thread-level checks on every layer, one of them flagging and
   // re-executing — performs zero scratch allocations.
   GemmCostModel cost{devices::t4()};
@@ -144,7 +141,6 @@ TEST(ScratchTest, SteadyStateThreadCheckRoundAllocatesNothing) {
 
   BatchOptions opts;
   opts.parallel = false;
-  opts.defer_verification = false;
   (void)executor.run(batch, opts);  // warm-up round
   reset_scratch_stats();
   const BatchResult steady = executor.run(batch, opts);

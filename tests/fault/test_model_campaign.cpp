@@ -218,9 +218,9 @@ TEST_F(ModelCampaignTest, RejectsEmptyCampaign) {
 
 TEST_F(ModelCampaignTest, BatchedCampaignMatchesSerialBitForBit) {
   // Trials as batch rows (grouped by faulted layer, marched through the
-  // BatchExecutor with deferred verification) must reproduce the per-trial
-  // engines exactly — at any batch size, including batches of one and
-  // batches larger than any per-layer group.
+  // BatchExecutor) must reproduce the per-trial engines exactly — at any
+  // batch size, including batches of one and batches larger than any
+  // per-layer group.
   const auto session = session_for(ProtectionPolicy::intensity_guided);
   ModelCampaignConfig cfg;
   cfg.trials = 24;

@@ -293,28 +293,6 @@ TEST(FunctionalBatched, PaddingOnlyFaultsStayInert) {
   EXPECT_TRUE(clean == faulty);
 }
 
-TEST(FunctionalBatched, CoScheduledExtraTasksAllRun) {
-  const TileConfig tile{32, 32, 32, 16, 16, 2};
-  const std::int64_t batch = 4, m = 2, k = 16, n = 16;
-  Rng rng(73);
-  Matrix<half_t> a(batch * m, k), b(k, n);
-  rng.fill_uniform(a);
-  rng.fill_uniform(b);
-  const PackedOperand packed = pack_operand(b, tile);
-  Matrix<half_t> c(batch * m, n), want(batch * m, n);
-  std::vector<int> ran(8, 0);
-  BatchedGemmOptions opts;
-  opts.extra_tasks = static_cast<std::int64_t>(ran.size());
-  opts.extra_task = [&](std::int64_t t) {
-    ran[static_cast<std::size_t>(t)] = 1;  // disjoint slots
-  };
-  functional_gemm_batched(a, packed, c, m, tile, opts);
-  for (const int r : ran) EXPECT_EQ(r, 1);
-  // The co-scheduled tasks never perturb the numerical result.
-  functional_gemm_batched(a, packed, want, m, tile);
-  EXPECT_TRUE(c == want);
-}
-
 TEST(FunctionalBatched, RejectsRaggedStacking) {
   const TileConfig tile{32, 32, 32, 16, 16, 2};
   Matrix<half_t> a(10, 16), b(16, 16), c(10, 16);

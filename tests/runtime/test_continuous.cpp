@@ -4,12 +4,10 @@
 //  - ContinuousBatch admission at layer boundaries never changes a row's
 //    SessionResult: rows joining and leaving mid-flight — at heterogeneous
 //    layer cursors, so one step() runs several stacked GEMM groups — stay
-//    bit-identical to standalone InferenceSession::run, with verification
-//    deferred or synchronous, parallel or serial.
-//  - A retiring row's final deferred check drains behind a later step's
-//    GEMM (stats.cross_batch_overlapped) — the overlap a closed batch
-//    loses at every batch tail — and a deferred-verification rewind
-//    resolving in the same step a new row executes touches only the
+//    bit-identical to standalone InferenceSession::run, parallel or
+//    serial.
+//  - A row retires in the step that runs its last layer, and a flagged
+//    check recovering in the step a new row joins touches only the
 //    faulted row.
 //  - ServingEngine's continuous mode (BatchPolicy::continuous) admits
 //    queued requests into the in-flight batch at boundaries under the
@@ -108,8 +106,7 @@ class ContinuousExecutorTest : public ::testing::Test {
 
 // The headline invariant: rows admitted at different step boundaries —
 // so one step() spans heterogeneous layer cursors — retire bit-identical
-// to standalone runs, for every policy, both verification modes, and
-// parallel or serial execution.
+// to standalone runs, for every policy and parallel or serial execution.
 TEST_F(ContinuousExecutorTest, StaggeredAdmissionMatchesStandaloneRuns) {
   for (const auto policy :
        {ProtectionPolicy::none, ProtectionPolicy::global_abft,
@@ -127,88 +124,71 @@ TEST_F(ContinuousExecutorTest, StaggeredAdmissionMatchesStandaloneRuns) {
         make_request(session, 103, {SessionFault{2, big_fault(1, 2), 0},
                                     SessionFault{2, big_fault(2, 1), 1}}),
     };
-    for (const bool defer : {true, false}) {
-      for (const bool parallel : {true, false}) {
-        BatchOptions opts;
-        opts.defer_verification = defer;
-        opts.parallel = parallel;
-        ContinuousBatch cont = executor.begin(opts);
-        // Waves: {0, 1} at step 0, {2} one boundary later, {3} another
-        // boundary later — three cursor groups in flight at once.
-        (void)cont.admit(requests[0]);
-        (void)cont.admit(requests[1]);
+    for (const bool parallel : {true, false}) {
+      BatchOptions opts;
+      opts.parallel = parallel;
+      ContinuousBatch cont = executor.begin(opts);
+      // Waves: {0, 1} at step 0, {2} one boundary later, {3} another
+      // boundary later — three cursor groups in flight at once.
+      (void)cont.admit(requests[0]);
+      (void)cont.admit(requests[1]);
+      cont.step();
+      (void)cont.admit(requests[2]);
+      cont.step();
+      (void)cont.admit(requests[3]);
+      int guard = 0;
+      while (!cont.idle()) {
         cont.step();
-        (void)cont.admit(requests[2]);
-        cont.step();
-        (void)cont.admit(requests[3]);
-        int guard = 0;
-        while (!cont.idle()) {
-          cont.step();
-          ASSERT_LT(++guard, 64) << "continuous batch failed to quiesce";
-        }
-        const auto finished = cont.take_finished();
-        ASSERT_EQ(finished.size(), requests.size());
-        for (const auto& [id, result] : finished) {
-          SessionRunOptions sopts;
-          sopts.faults = requests[static_cast<std::size_t>(id)].faults;
-          sopts.parallel = parallel;
-          const auto want = session.run(
-              requests[static_cast<std::size_t>(id)].input, sopts);
-          expect_identical(result, want,
-                           std::string(policy_name(policy)) +
-                               (defer ? "/deferred" : "/sync") +
-                               (parallel ? "/par" : "/ser") + "/row" +
-                               std::to_string(id));
-        }
+        ASSERT_LT(++guard, 64) << "continuous batch failed to quiesce";
+      }
+      const auto finished = cont.take_finished();
+      ASSERT_EQ(finished.size(), requests.size());
+      for (const auto& [id, result] : finished) {
+        SessionRunOptions sopts;
+        sopts.faults = requests[static_cast<std::size_t>(id)].faults;
+        sopts.parallel = parallel;
+        const auto want = session.run(
+            requests[static_cast<std::size_t>(id)].input, sopts);
+        expect_identical(result, want,
+                         std::string(policy_name(policy)) +
+                             (parallel ? "/par" : "/ser") + "/row" +
+                             std::to_string(id));
       }
     }
   }
 }
 
-// A row past its last layer stays in flight one step so its final
-// deferred check drains behind the GEMM of rows admitted *after* it —
-// the cross-batch overlap. Closed run() batches retire everything
-// together, so their final drain has nothing to hide behind and the
-// counter must stay 0 there.
-TEST_F(ContinuousExecutorTest, RetiringRowOverlapsItsFinalCheckWithTheNextWave) {
+// A row leaves the batch in the step that runs its last layer: on an
+// all-global plan, B rows admitted together are idle after exactly
+// num_layers steps, each retiring bit-identical to its standalone run.
+TEST_F(ContinuousExecutorTest, RowRetiresWithItsLastLayer) {
   const auto session = make_session(ProtectionPolicy::global_abft);
   const BatchExecutor executor(session);
-  const auto first = make_request(session, 7);
-  const auto second = make_request(session, 8);
+  const std::vector<BatchRequest> requests = {
+      make_request(session, 7), make_request(session, 8),
+      make_request(session, 9)};
 
   ContinuousBatch cont = executor.begin();
-  (void)cont.admit(first);
-  // March the first row through every layer; its last-layer check is now
-  // the only thing keeping it in flight.
-  for (std::size_t i = 0; i < session.num_layers(); ++i) cont.step();
-  EXPECT_EQ(cont.in_flight(), 1);
-  EXPECT_EQ(cont.stats().cross_batch_overlapped, 0);
-
-  // The next wave arrives: its first GEMM hides the retiring row's final
-  // reduction.
-  (void)cont.admit(second);
+  for (const auto& request : requests) (void)cont.admit(request);
+  for (std::size_t i = 0; i + 1 < session.num_layers(); ++i) {
+    cont.step();
+    EXPECT_EQ(cont.in_flight(), static_cast<std::int64_t>(requests.size()))
+        << "after step " << i;
+  }
   cont.step();
-  EXPECT_EQ(cont.stats().cross_batch_overlapped, 1);
-  auto finished = cont.take_finished();
-  ASSERT_EQ(finished.size(), 1u);
-  expect_identical(finished.front().second, session.run(first.input),
-                   "overlapped retirement");
+  EXPECT_TRUE(cont.idle());
 
-  while (!cont.idle()) cont.step();
-  finished = cont.take_finished();
-  ASSERT_EQ(finished.size(), 1u);
-  expect_identical(finished.front().second, session.run(second.input),
-                   "second wave");
-
-  // Closed batches never cross-overlap: the counter is continuous-only.
-  const auto closed = executor.run({first, second});
-  EXPECT_EQ(closed.stats.cross_batch_overlapped, 0);
+  const auto finished = cont.take_finished();
+  ASSERT_EQ(finished.size(), requests.size());
+  for (const auto& [id, result] : finished) {
+    expect_identical(result,
+                     session.run(requests[static_cast<std::size_t>(id)].input),
+                     "row " + std::to_string(id));
+  }
 }
 
-// A deferred-verification rewind resolving at the same boundary a newly
-// admitted row executes its first layer: the rewind must touch only the
-// faulted row, and the stats must record the flushed speculative
-// execution exactly like a closed batch would.
+// A flagged row recovers while a newly admitted row executes its first
+// layer in the same batch: the recovery must touch only the faulted row.
 TEST_F(ContinuousExecutorTest, RewindRacesANewlyAdmittedRow) {
   const auto session = make_session(ProtectionPolicy::global_abft);
   const BatchExecutor executor(session);
@@ -218,14 +198,11 @@ TEST_F(ContinuousExecutorTest, RewindRacesANewlyAdmittedRow) {
 
   ContinuousBatch cont = executor.begin();
   (void)cont.admit(faulty);
-  cont.step();  // layer 0 executes (faulted); its check is now deferred
+  cont.step();  // layer 0 executes (faulted), flags and recovers
   (void)cont.admit(joiner);
-  // This step runs two GEMM groups (faulty row at layer 1, joiner at
-  // layer 0) and drains the flagged check behind them; the resolution
-  // rewinds the faulty row and flushes its speculative layer-1 run.
+  // This step runs two GEMM groups: the recovered row at layer 1, the
+  // joiner at layer 0.
   cont.step();
-  EXPECT_EQ(cont.stats().rewinds, 1);
-  EXPECT_EQ(cont.stats().flushed_executions, 1);
   while (!cont.idle()) cont.step();
 
   const auto finished = cont.take_finished();
@@ -235,7 +212,7 @@ TEST_F(ContinuousExecutorTest, RewindRacesANewlyAdmittedRow) {
     SessionRunOptions sopts;
     sopts.faults = request.faults;
     expect_identical(result, session.run(request.input, sopts),
-                     "rewind-vs-join row " + std::to_string(id));
+                     "recover-vs-join row " + std::to_string(id));
   }
 }
 
@@ -377,17 +354,17 @@ TEST_F(ContinuousServingTest, MidFlightJoinIsBitIdentical) {
   expect_reconciled(stats);
 }
 
-// A deferred-verification rewind resolving while a newly admitted request
-// executes its first layer — the serving-level race the executor suite
-// pins in isolation — leaves both results bit-identical.
+// A faulted request recovering in the batch a newly admitted request
+// joins — the serving-level race the executor suite pins in isolation —
+// leaves both results bit-identical.
 TEST_F(ContinuousServingTest, RewindRacesAdmissionThroughTheEngine) {
   ManualClock clock;
   ServingEngine engine(stepped_options(clock));
   engine.add_model("dlrm", plan(), continuous_policy());
   const auto& session = engine.session("dlrm");
 
-  // The faulted layer-0 check defers and drains during the next round's
-  // GEMMs — exactly when the joiner's first layer runs.
+  // The faulted layer-0 check flags and recovers in the first round; the
+  // joiner's first layer runs beside the faulted row's second.
   auto faulty = engine.submit("dlrm", session.make_input(11),
                               {SessionFault{0, big_fault(), 0}});
   EXPECT_EQ(engine.pump_step(), 1);

@@ -41,8 +41,8 @@ struct ProtectedLayer {
 
 // Builds the protected deployment: per-layer scheme from the
 // intensity-guided plan, weight checksums precomputed offline.
-std::vector<ProtectedLayer> deploy(const Model& m, const PipelinePlan& plan,
-                                   Rng& rng) {
+std::vector<ProtectedLayer> deploy(const Model& m, const InferencePlan& plan,
+                                    Rng& rng) {
   std::vector<ProtectedLayer> layers;
   for (std::size_t i = 0; i < m.num_layers(); ++i) {
     const auto& entry = plan.entries[i];
@@ -93,7 +93,7 @@ class IntegrationTest : public ::testing::Test {
   GemmCostModel model_{devices::t4()};
   ProtectedPipeline pipe_{model_};
   Model cnn_ = tiny_cnn();
-  PipelinePlan plan_ =
+  InferencePlan plan_ =
       pipe_.plan(cnn_, ProtectionPolicy::intensity_guided);
 };
 

@@ -4,10 +4,10 @@
 // fault semantics, across tiles, non-divisible shapes and padding-adjacent
 // fault sites. A session packing its weights once must match a session
 // packing per call (pack_weights = false) in outputs and full traces,
-// through both verification modes. CTest additionally runs this whole
-// binary pinned to AIFT_NUM_THREADS=1/2/8 (packed_determinism_threads_*),
-// making worker-count independence an explicit CTest fact like the other
-// determinism suites.
+// through the serial facade and the batched executor. CTest additionally
+// runs this whole binary pinned to AIFT_NUM_THREADS=1/2/8
+// (packed_determinism_threads_*), making worker-count independence an
+// explicit CTest fact like the other determinism suites.
 
 #include "gemm/packed_operand.hpp"
 
@@ -157,24 +157,6 @@ TEST(PackedGemmTest, BatchedBitIdenticalWithPerRequestFaults) {
   }
 }
 
-TEST(PackedGemmTest, FingerprintIsStructural) {
-  const TileConfig tile{32, 32, 32, 16, 16, 2};
-  Rng rng(5);
-  Matrix<half_t> b(24, 20);
-  rng.fill_uniform(b);
-  const PackedOperand p1 = pack_operand(b, tile);
-  const PackedOperand p2 = pack_operand(b, tile);
-  EXPECT_EQ(p1.fingerprint, p2.fingerprint);
-  EXPECT_EQ(p1.fingerprint, packed_fingerprint(b, tile));
-
-  // Any operand bit flips it; so does the pack geometry (kb/nb).
-  Matrix<half_t> b2 = b;
-  b2(3, 4) = half_t(b2(3, 4).to_float() + 0.25f);
-  EXPECT_NE(pack_operand(b2, tile).fingerprint, p1.fingerprint);
-  const TileConfig other{32, 64, 32, 16, 32, 2};
-  EXPECT_NE(pack_operand(b, other).fingerprint, p1.fingerprint);
-}
-
 TEST(PackedGemmTest, RejectsIncompatiblePack) {
   const TileConfig tile{32, 32, 32, 16, 16, 2};
   const TileConfig other{32, 64, 32, 16, 32, 2};  // different nb
@@ -192,8 +174,7 @@ TEST(PackedGemmTest, RejectsIncompatiblePack) {
 // Session-level identity: a session serving from construction-time weight
 // packs must match a pack_weights=false session, which packs per call, bit
 // for bit — outputs and full traces — through the serial facade, the
-// batched executor (deferred and synchronous verification) and
-// fault-triggered retry paths.
+// batched executor and fault-triggered retry paths.
 class PackedSessionTest : public ::testing::Test {
  protected:
   [[nodiscard]] InferenceSession make_session(ProtectionPolicy policy,
@@ -219,9 +200,9 @@ TEST_F(PackedSessionTest, PackedWeightsExposedOnlyWhenEnabled) {
   const auto raw = make_session(ProtectionPolicy::global_abft, false);
   for (std::size_t i = 0; i < packed.num_layers(); ++i) {
     ASSERT_NE(packed.packed_weights(i), nullptr) << "layer " << i;
-    EXPECT_EQ(packed.packed_weights(i)->fingerprint,
-              packed_fingerprint(packed.weights(i),
-                                 packed.plan().entries[i].exec_tile()))
+    const Matrix<half_t>& w = packed.weights(i);
+    EXPECT_TRUE(packed.packed_weights(i)->compatible(
+        w.rows(), w.cols(), packed.plan().entries[i].exec_tile()))
         << "layer " << i;
     EXPECT_EQ(raw.packed_weights(i), nullptr) << "layer " << i;
   }
@@ -255,17 +236,12 @@ TEST_F(PackedSessionTest, BatchedExecutorBitIdenticalBothVerificationModes) {
   batch[1].faults = {SessionFault{0, big_fault(), 0}};
   batch[3].faults = {SessionFault{2, big_fault(1, 2), 0},
                      SessionFault{2, big_fault(2, 1), 1}};
-  for (const bool defer : {false, true}) {
-    BatchOptions opts;
-    opts.defer_verification = defer;
-    const auto got = BatchExecutor(packed).run(batch, opts);
-    const auto want = BatchExecutor(raw).run(batch, opts);
-    ASSERT_EQ(got.requests.size(), want.requests.size());
-    for (std::size_t r = 0; r < got.requests.size(); ++r) {
-      expect_identical(got.requests[r], want.requests[r],
-                       std::string(defer ? "deferred" : "synchronous") +
-                           " request " + std::to_string(r));
-    }
+  const auto got = BatchExecutor(packed).run(batch);
+  const auto want = BatchExecutor(raw).run(batch);
+  ASSERT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t r = 0; r < got.requests.size(); ++r) {
+    expect_identical(got.requests[r], want.requests[r],
+                     "request " + std::to_string(r));
   }
 }
 

@@ -10,7 +10,7 @@
 //  - EDF reordering, priorities and shedding never change a served
 //    request's SessionResult: results stay bit-identical to calling
 //    BatchExecutor::run directly on the same dynamically formed grouping
-//    — including a deferred-verification rewind *inside* such a batch —
+//    — including a flagged check's recovery *inside* such a batch —
 //    and therefore to standalone InferenceSession::run.
 //  - Shed futures resolve to a typed DeadlineExceeded; failed batches are
 //    counted (batches, histogram, `failed`) instead of vanishing; and
@@ -439,9 +439,9 @@ TEST_F(ServingTest, ExpiredRequestsAreShedWithTypedOutcome) {
 }
 
 // Acceptance pin: a batch formed under EDF with shedding and mixed
-// priority classes — including a request whose deferred verification
-// rewinds — still serves every request bit-identically to its standalone
-// session run. Runs under serving_determinism_threads_{1,2,8}.
+// priority classes — including a request whose check flags and
+// re-executes — still serves every request bit-identically to its
+// standalone session run. Runs under serving_determinism_threads_{1,2,8}.
 TEST_F(ServingTest, ShedAndMixedPriorityBatchStaysBitIdentical) {
   ManualClock clock;
   ServingEngine engine(stepped_options(clock));
@@ -450,8 +450,8 @@ TEST_F(ServingTest, ShedAndMixedPriorityBatchStaysBitIdentical) {
   policy.max_batch = 8;
   policy.max_delay = microseconds(60'000'000);  // deadline-driven only
   policy.dispatch_margin = microseconds(0);
-  // Global ABFT everywhere: every check defers, so an injected fault
-  // drains behind the next layer's GEMM and rewinds inside the batch.
+  // Global ABFT everywhere: an injected fault flags its layer's check and
+  // re-executes inside the batch.
   engine.add_model("dlrm", plan(ProtectionPolicy::global_abft), policy);
   const auto& session = engine.session("dlrm");
 
@@ -483,7 +483,7 @@ TEST_F(ServingTest, ShedAndMixedPriorityBatchStaysBitIdentical) {
 
   // At the loose deadline the survivors go out as one EDF-ordered batch
   // (r5 jumped to the front by priority). Each result is bit-identical to
-  // the standalone run — the rewind included.
+  // the standalone run — the recovery included.
   clock.advance(microseconds(500));
   EXPECT_EQ(engine.pump(), 1u);
   for (const int r : {1, 3, 5}) {
@@ -516,8 +516,8 @@ TEST_F(ServingTest, ShedAndMixedPriorityBatchStaysBitIdentical) {
 }
 
 // The original acceptance invariant, now under the default edf policy: a
-// dynamically formed batch — including one whose deferred verification
-// rewinds a row — produces exactly what BatchExecutor::run on the same
+// dynamically formed batch — including one in which a row's check flags
+// and recovers — produces exactly what BatchExecutor::run on the same
 // grouping produces, which is itself pinned bit-identical to standalone
 // sessions.
 TEST_F(ServingTest, ResultsBitIdenticalToDirectExecutorOnSameGrouping) {
@@ -525,8 +525,8 @@ TEST_F(ServingTest, ResultsBitIdenticalToDirectExecutorOnSameGrouping) {
   ServingEngine engine(stepped_options(clock));
   BatchPolicy policy;
   policy.max_batch = 4;  // scheduler: edf (the default)
-  // Global ABFT everywhere: every check defers, so the row-1 fault drains
-  // behind the next layer's GEMM and rewinds inside the formed batch.
+  // Global ABFT everywhere: the row-1 fault flags layer 0's check and
+  // recovers inside the formed batch.
   engine.add_model("dlrm", plan(ProtectionPolicy::global_abft), policy);
   const auto& session = engine.session("dlrm");
 
@@ -544,7 +544,11 @@ TEST_F(ServingTest, ResultsBitIdenticalToDirectExecutorOnSameGrouping) {
 
   const BatchExecutor executor(session);
   const BatchResult direct = executor.run(grouping);
-  EXPECT_GE(direct.stats.rewinds, 1);  // the fault really rewound in-batch
+  // The fault really flagged in-batch, and the layer recovered.
+  const LayerTrace& faulted = direct.requests[1].layers[0];
+  EXPECT_GE(faulted.detections, 1);
+  EXPECT_GE(faulted.executions, 2);
+  EXPECT_FALSE(faulted.unrecovered);
   for (std::size_t r = 0; r < futures.size(); ++r) {
     ServedResult served = futures[r].get();
     EXPECT_EQ(served.batch_size, 4);
