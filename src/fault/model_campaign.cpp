@@ -54,13 +54,6 @@ TrialSite trial_site(const ModelCampaignContext& ctx, std::int64_t t) {
   return site;
 }
 
-// Shared by the per-trial and batched engines — a batched row is
-// classified exactly like a lone trial.
-void classify_trial(const ModelCampaignContext& ctx, std::size_t layer,
-                    const SessionResult& result, ModelCampaignStats& stats) {
-  classify_model_trial(stats, layer, result, ctx.clean_output);
-}
-
 void run_trial(const ModelCampaignContext& ctx, std::int64_t t,
                ModelCampaignStats& stats, bool parallel_gemm) {
   const TrialSite site = trial_site(ctx, t);
@@ -72,7 +65,7 @@ void run_trial(const ModelCampaignContext& ctx, std::int64_t t,
   // bit-identical to the cached clean activations.
   const SessionResult result = ctx.session.run_from(
       site.layer, ctx.layer_inputs[site.layer], run_opts);
-  classify_trial(ctx, site.layer, result, stats);
+  classify_model_trial(stats, site.layer, result, ctx.clean_output);
 }
 
 ModelCampaignStats zeroed_stats(const InferenceSession& session) {
@@ -179,15 +172,6 @@ ModelCampaignStats run_model_campaign(const InferenceSession& session,
   return stats;
 }
 
-ModelCampaignStats run_model_campaign_serial(const InferenceSession& session,
-                                             const ModelCampaignConfig& config) {
-  const ModelCampaignContext ctx(session, config);
-  ModelCampaignStats stats = zeroed_stats(session);
-  for (std::int64_t t = 0; t < config.trials; ++t)
-    run_trial(ctx, t, stats, /*parallel_gemm=*/false);
-  return stats;
-}
-
 ModelCampaignStats run_model_campaign_batched(const InferenceSession& session,
                                               const ModelCampaignConfig& config,
                                               std::int64_t batch_rows) {
@@ -195,7 +179,7 @@ ModelCampaignStats run_model_campaign_batched(const InferenceSession& session,
   const ModelCampaignContext ctx(session, config);
 
   // Group trials by faulted layer: each group shares the clean activation
-  // feeding that layer (the serial engine's prefix skip) and the layer
+  // feeding that layer (the per-trial engine's prefix skip) and the layer
   // suffix it must execute, so its trials stack into one batch.
   std::vector<std::vector<TrialSite>> by_layer(session.num_layers());
   for (std::int64_t t = 0; t < config.trials; ++t) {
@@ -221,7 +205,8 @@ ModelCampaignStats run_model_campaign_batched(const InferenceSession& session,
       }
       const BatchResult result = executor.run_from(layer, batch);
       for (std::size_t s = lo; s < hi; ++s) {
-        classify_trial(ctx, layer, result.requests[s - lo], stats);
+        classify_model_trial(stats, layer, result.requests[s - lo],
+                             ctx.clean_output);
       }
     }
   }

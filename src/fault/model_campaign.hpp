@@ -88,14 +88,10 @@ void classify_model_trial(ModelCampaignStats& stats, std::size_t layer,
 [[nodiscard]] ModelCampaignStats run_model_campaign(
     const InferenceSession& session, const ModelCampaignConfig& config);
 
-/// Single-threaded reference engine; bit-identical to run_model_campaign.
-[[nodiscard]] ModelCampaignStats run_model_campaign_serial(
-    const InferenceSession& session, const ModelCampaignConfig& config);
-
 /// Batched campaign mode: trials become rows of a batch instead of
 /// independent sessions. Trials are grouped by their faulted layer (each
 /// group shares the cached clean activation feeding that layer, keeping
-/// the serial engine's prefix skip) and marched through the BatchExecutor
+/// the per-trial engine's prefix skip) and marched through the BatchExecutor
 /// up to `batch_rows` at a time, each layer checked right after its GEMM —
 /// one stacked GEMM per layer per group instead of one GEMM per layer per
 /// trial. Bit-identical ModelCampaignStats to run_model_campaign at any

@@ -12,7 +12,6 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/scratch.hpp"
-#include "gemm/mma.hpp"
 
 namespace aift {
 namespace {

@@ -33,28 +33,6 @@ float activate_value(float x, Activation a) {
   return x;
 }
 
-void apply_activation(Matrix<half_t>& m, Activation a) {
-  if (a == Activation::identity) return;
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    for (std::int64_t c = 0; c < m.cols(); ++c) {
-      m(r, c) = half_t(activate_value(m(r, c).to_float(), a));
-    }
-  }
-}
-
-Matrix<half_t> repack_activations(const Matrix<half_t>& prev,
-                                  std::int64_t rows, std::int64_t cols) {
-  AIFT_CHECK(prev.rows() > 0 && prev.cols() > 0);
-  AIFT_CHECK(rows > 0 && cols > 0);
-  Matrix<half_t> out(rows, cols);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      out(r, c) = prev(r % prev.rows(), c % prev.cols());
-    }
-  }
-  return out;
-}
-
 Matrix<half_t> activate_and_repack(const Matrix<half_t>& prev, Activation a,
                                    std::int64_t rows, std::int64_t cols) {
   AIFT_CHECK(prev.rows() > 0 && prev.cols() > 0);

@@ -7,9 +7,9 @@
 // deterministically, so an uncorrected corruption propagates to the final
 // output while protected re-execution restores it bit-for-bit.
 //
-// repack_activations is the CPU stand-in for the im2col / reshape between
-// layers: the next layer's M x K activation matrix is filled from the
-// previous layer's (activated) M' x N' output by index wrapping. Element
+// The repack is the CPU stand-in for the im2col / reshape between layers:
+// the next layer's M x K activation matrix is filled from the previous
+// layer's (activated) M' x N' output by index wrapping. Element
 // (0, 0) of the previous output is always sampled, and for the MLP-style
 // layers the zoo's serving models use (M' == M, N' == K) the mapping is
 // the identity.
@@ -31,24 +31,14 @@ enum class Activation {
 
 [[nodiscard]] const char* activation_name(Activation a);
 
-/// Applies `a` element-wise (computed in FP32, stored FP16).
-void apply_activation(Matrix<half_t>& m, Activation a);
-
-/// Builds the next layer's rows x cols activation matrix from `prev` by
-/// index wrapping: out(r, c) = prev(r % prev.rows(), c % prev.cols()).
-[[nodiscard]] Matrix<half_t> repack_activations(const Matrix<half_t>& prev,
-                                                std::int64_t rows,
-                                                std::int64_t cols);
-
-/// `a` applied scalar-wise (the body of apply_activation, exposed so fused
-/// flows compute the identical FP32 value without mutating the source).
+/// `a` applied to one FP32 value.
 [[nodiscard]] float activate_value(float x, Activation a);
 
 /// Fused, non-destructive inter-layer flow: activation of `prev` followed
-/// by repack into a rows x cols matrix, without modifying `prev`. Produces
-/// bit-identical output to apply_activation + repack_activations — each
-/// output element is half(activate_value(prev(...))) either way — while
-/// leaving `prev` available for output digests and the finished result.
+/// by repack into a rows x cols matrix by index wrapping, without
+/// modifying `prev`: out(r, c) = half(activate_value(prev(r % prev.rows(),
+/// c % prev.cols()))). `prev` stays available for output digests and the
+/// finished result.
 [[nodiscard]] Matrix<half_t> activate_and_repack(const Matrix<half_t>& prev,
                                                  Activation a,
                                                  std::int64_t rows,

@@ -6,9 +6,10 @@
 // scheme selected by the deployment policy, the best profiled tile
 // configuration, and the checker configuration, once per (model, device,
 // policy, dtype) — the paper's "profile once before deployment" step
-// (§5.3/§6.2). The resulting InferencePlan is a passive artifact: the
-// analytics layers (runtime/report, runtime/recovery) aggregate it, and
-// runtime/session executes it with real functional GEMMs and checks.
+// (§5.3/§6.2). The resulting InferencePlan is a passive artifact:
+// runtime/report aggregates it, and runtime/session executes it with real
+// functional GEMMs and checks (every policy plans and prices; sessions
+// reject the replication policies).
 //
 // Aggregated times follow the paper's evaluation: per-layer T_o and T_r
 // summed across layers (valid because each layer must finish before the

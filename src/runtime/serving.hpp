@@ -328,8 +328,9 @@ class ServingEngine {
 
   /// Registers a model shard: the plan is instantiated into an
   /// InferenceSession (weights + offline checksums) fronted by its own
-  /// ContinuousBatch and RequestQueue. Rejects duplicate names and
-  /// degenerate policies.
+  /// ContinuousBatch and RequestQueue. Rejects duplicate names,
+  /// degenerate policies and plans that InferenceSession does not execute
+  /// (a replicated layer).
   void add_model(const std::string& name, InferencePlan plan,
                  const BatchPolicy& policy = {},
                  const SessionOptions& session_opts = {});

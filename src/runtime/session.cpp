@@ -31,12 +31,23 @@ InferenceSession::InferenceSession(InferencePlan plan, SessionOptions opts)
     : plan_(std::move(plan)), opts_(opts) {
   AIFT_CHECK_MSG(!plan_.entries.empty(), "cannot instantiate an empty plan");
   AIFT_CHECK(opts_.max_retries >= 0);
+  for (const auto& entry : plan_.entries) {
+    // Replication is the paper's strawman (§4): plans price it through the
+    // cost model, but no session executes it.
+    const bool replicated = entry.scheme() == Scheme::repl_traditional ||
+                            entry.scheme() == Scheme::repl_single_acc;
+    AIFT_CHECK_MSG(!replicated, "policy " << policy_name(plan_.policy)
+                                          << ": layer " << entry.layer.name
+                                          << " plans "
+                                          << scheme_name(entry.scheme())
+                                          << ", which sessions do not execute");
+  }
   layers_.reserve(plan_.entries.size());
   for (std::size_t i = 0; i < plan_.entries.size(); ++i) {
     const auto& entry = plan_.entries[i];
     Layer layer{entry,
                 Matrix<half_t>(entry.layer.gemm.k, entry.layer.gemm.n),
-                std::nullopt, std::nullopt, std::nullopt, std::nullopt};
+                std::nullopt, std::nullopt, std::nullopt};
     Rng rng(derive_seed(opts_.weight_seed, static_cast<std::uint64_t>(i)));
     rng.fill_uniform(layer.weights, -0.5, 0.5);
     if (opts_.pack_weights) {
@@ -47,6 +58,8 @@ InferenceSession::InferenceSession(InferencePlan plan, SessionOptions opts)
 
     switch (entry.scheme()) {
       case Scheme::none:
+      case Scheme::repl_traditional:  // rejected above
+      case Scheme::repl_single_acc:
         break;
       case Scheme::global_abft:
         // Offline weight-checksum construction (§2.5), reused across runs.
@@ -57,13 +70,6 @@ InferenceSession::InferenceSession(InferencePlan plan, SessionOptions opts)
         break;
       case Scheme::thread_two_sided:
         layer.thread.emplace(entry.exec_tile(), ThreadAbftSide::two_sided);
-        break;
-      case Scheme::repl_traditional:
-        layer.repl.emplace(entry.exec_tile(), ReplicationKind::traditional);
-        break;
-      case Scheme::repl_single_acc:
-        layer.repl.emplace(entry.exec_tile(),
-                           ReplicationKind::single_accumulation);
         break;
     }
     if (layer.thread) {
@@ -131,15 +137,14 @@ bool InferenceSession::check_layer(const Layer& layer, const Matrix<half_t>& a,
                                    const Matrix<half_t>& c) const {
   switch (layer.entry.scheme()) {
     case Scheme::none:
+    case Scheme::repl_traditional:  // rejected at construction
+    case Scheme::repl_single_acc:
       return false;
     case Scheme::global_abft:
       return layer.global->check(a, c).fault_detected;
     case Scheme::thread_one_sided:
     case Scheme::thread_two_sided:
       return layer.thread->check(a, layer.weights, c).fault_detected;
-    case Scheme::repl_traditional:
-    case Scheme::repl_single_acc:
-      return layer.repl->check(a, layer.weights, c).fault_detected;
   }
   return false;
 }

@@ -16,6 +16,10 @@
 // result carries a per-layer trace — detections, retries, an output digest
 // — plus the final numerical output.
 //
+// Sessions execute the none, global-ABFT and thread-level ABFT schemes.
+// The replication schemes (paper §4) stay plannable and priced, but a plan
+// with a replicated layer is rejected at construction (std::logic_error).
+//
 // run() is const and safe to call concurrently: model-level fault
 // campaigns fan trials out across the worker pool over one shared session.
 
@@ -25,7 +29,6 @@
 
 #include "common/matrix.hpp"
 #include "core/global_abft.hpp"
-#include "core/replication.hpp"
 #include "core/thread_level_abft.hpp"
 #include "gemm/functional.hpp"
 #include "nn/activation.hpp"
@@ -143,7 +146,6 @@ class InferenceSession {
     // Checker instance matching entry.scheme() (at most one engaged).
     std::optional<GlobalAbft> global;
     std::optional<ThreadLevelAbft> thread;
-    std::optional<ThreadReplication> repl;
   };
 
   // The batched serving engine executes the session's layers directly;

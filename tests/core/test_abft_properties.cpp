@@ -9,9 +9,9 @@
 
 #include "common/rng.hpp"
 #include "core/global_abft.hpp"
-#include "core/replication.hpp"
 #include "core/thread_level_abft.hpp"
 #include "gemm/functional.hpp"
+#include "replication_oracle.hpp"
 
 namespace aift {
 namespace {
@@ -82,11 +82,12 @@ TEST_P(AllTilesProperty, CleanNeverFlagsFaultAlwaysCaught) {
     EXPECT_TRUE(abft.check(a, b, faulty).fault_detected)
         << "missed, side=" << static_cast<int>(side);
   }
-  for (const auto kind :
-       {ReplicationKind::traditional, ReplicationKind::single_accumulation}) {
-    ThreadReplication repl(tile, kind);
-    EXPECT_FALSE(repl.check(a, b, clean).fault_detected);
-    EXPECT_TRUE(repl.check(a, b, faulty).fault_detected);
+  for (const auto kind : {testing::ReplicationKind::traditional,
+                          testing::ReplicationKind::single_accumulation}) {
+    EXPECT_FALSE(
+        testing::replication_oracle(tile, kind, a, b, clean).fault_detected);
+    EXPECT_TRUE(
+        testing::replication_oracle(tile, kind, a, b, faulty).fault_detected);
   }
   GlobalAbft global(b);
   EXPECT_FALSE(global.check(a, clean).fault_detected);

@@ -1,6 +1,7 @@
-// Functional thread-level replication tests (paper §4).
+// Self-tests of the reference thread-level replication (paper §4) that the
+// coverage tests compare thread-level ABFT against.
 
-#include "core/replication.hpp"
+#include "replication_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,9 @@
 
 namespace aift {
 namespace {
+
+using testing::replication_oracle;
+using testing::ReplicationKind;
 
 struct Env {
   Matrix<half_t> a, b, c;
@@ -38,8 +42,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ReplicationParam,
 TEST_P(ReplicationParam, NoFalsePositiveOnClean) {
   const TileConfig tile{64, 64, 32, 32, 32, 2};
   Env env({96, 96, 64}, tile);
-  ThreadReplication repl(tile, GetParam());
-  const auto res = repl.check(env.a, env.b, env.c);
+  const auto res = replication_oracle(tile, GetParam(), env.a, env.b, env.c);
   EXPECT_FALSE(res.fault_detected);
   EXPECT_GT(res.threads_checked, 0);
 }
@@ -47,22 +50,22 @@ TEST_P(ReplicationParam, NoFalsePositiveOnClean) {
 TEST_P(ReplicationParam, DetectsInjectedFault) {
   const TileConfig tile{64, 64, 32, 32, 32, 2};
   Env env({96, 96, 64}, tile, 43, {FaultSpec{50, 60, -1, 0x20000000u}});
-  ThreadReplication repl(tile, GetParam());
-  EXPECT_TRUE(repl.check(env.a, env.b, env.c).fault_detected);
+  EXPECT_TRUE(
+      replication_oracle(tile, GetParam(), env.a, env.b, env.c).fault_detected);
 }
 
 TEST_P(ReplicationParam, CleanOnEdgeShapes) {
   const TileConfig tile{32, 32, 32, 16, 16, 2};
   Env env({37, 21, 50}, tile, 44);
-  ThreadReplication repl(tile, GetParam());
-  EXPECT_FALSE(repl.check(env.a, env.b, env.c).fault_detected);
+  EXPECT_FALSE(
+      replication_oracle(tile, GetParam(), env.a, env.b, env.c).fault_detected);
 }
 
 TEST(Replication, TraditionalLocalizesExactElement) {
   const TileConfig tile{64, 64, 32, 32, 32, 2};
   Env env({64, 64, 32}, tile, 45, {FaultSpec{19, 26, -1, 0x20000000u}});
-  ThreadReplication repl(tile, ReplicationKind::traditional);
-  const auto res = repl.check(env.a, env.b, env.c);
+  const auto res = replication_oracle(tile, ReplicationKind::traditional,
+                                      env.a, env.b, env.c);
   ASSERT_TRUE(res.fault_detected);
   EXPECT_EQ(res.failures.front().row, 19);  // exact row reported
 }
@@ -70,8 +73,8 @@ TEST(Replication, TraditionalLocalizesExactElement) {
 TEST(Replication, SingleAccIsThreadScalar) {
   const TileConfig tile{64, 64, 32, 32, 32, 2};
   Env env({64, 64, 32}, tile, 46, {FaultSpec{19, 26, -1, 0x20000000u}});
-  ThreadReplication repl(tile, ReplicationKind::single_accumulation);
-  const auto res = repl.check(env.a, env.b, env.c);
+  const auto res = replication_oracle(
+      tile, ReplicationKind::single_accumulation, env.a, env.b, env.c);
   ASSERT_TRUE(res.fault_detected);
   EXPECT_EQ(res.failures.front().row, -1);
 }
@@ -86,13 +89,15 @@ TEST(Replication, TraditionalDetectsSmallerFaultsThanSingleAcc) {
   const float v = c(12, 12).to_float();
   c(12, 12) = half_t(v + 0.15f);
 
-  ThreadReplication trad(tile, ReplicationKind::traditional);
-  EXPECT_TRUE(trad.check(env.a, env.b, c).fault_detected);
+  EXPECT_TRUE(
+      replication_oracle(tile, ReplicationKind::traditional, env.a, env.b, c)
+          .fault_detected);
 }
 
 TEST(Replication, RejectsInvalidTile) {
-  EXPECT_THROW(ThreadReplication(TileConfig{100, 64, 32, 64, 32, 2},
-                                 ReplicationKind::traditional),
+  const Matrix<half_t> a(8, 8), b(8, 8), c(8, 8);
+  EXPECT_THROW((void)replication_oracle(TileConfig{100, 64, 32, 64, 32, 2},
+                                        ReplicationKind::traditional, a, b, c),
                std::logic_error);
 }
 

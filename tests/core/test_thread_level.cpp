@@ -264,5 +264,59 @@ TEST(ThreadAbft, AccessorsReflectConstruction) {
   EXPECT_EQ(abft.tile(), tile);
 }
 
+// Detect-and-re-execute at GEMM level: soft errors are transient, so a
+// re-execution after a flagged check yields a clean, passing result.
+
+TEST(RecoveryFunctional, RetryAfterDetectionYieldsCleanResult) {
+  // Transient fault: first execution corrupted and flagged; re-execution
+  // (fault gone) passes the check and matches the clean result.
+  const GemmShape shape{64, 64, 64};
+  const TileConfig tile{64, 64, 32, 32, 32, 2};
+  Rng rng(5);
+  Matrix<half_t> a(shape.m, shape.k), b(shape.k, shape.n);
+  rng.fill_uniform(a);
+  rng.fill_uniform(b);
+  ThreadLevelAbft abft(tile, ThreadAbftSide::one_sided);
+
+  Matrix<half_t> c(shape.m, shape.n);
+  FunctionalOptions faulty;
+  faulty.faults = {FaultSpec{10, 10, -1, 0x20000000u}};
+  functional_gemm(a, b, c, tile, faulty);
+  ASSERT_TRUE(abft.check(a, b, c).fault_detected);
+
+  // Retry without the (transient) fault.
+  functional_gemm(a, b, c, tile);
+  EXPECT_FALSE(abft.check(a, b, c).fault_detected);
+
+  Matrix<half_t> clean(shape.m, shape.n);
+  functional_gemm(a, b, clean, tile);
+  EXPECT_TRUE(c == clean);
+}
+
+TEST(RecoveryFunctional, RepeatedFaultsEventuallyRecovered) {
+  // Even if several consecutive executions fault, the retry loop ends at
+  // the first clean one.
+  const GemmShape shape{32, 32, 32};
+  const TileConfig tile{32, 32, 32, 16, 16, 2};
+  Rng rng(6);
+  Matrix<half_t> a(shape.m, shape.k), b(shape.k, shape.n);
+  rng.fill_uniform(a);
+  rng.fill_uniform(b);
+  ThreadLevelAbft abft(tile, ThreadAbftSide::one_sided);
+
+  int executions = 0;
+  bool clean = false;
+  for (int attempt = 0; attempt < 5 && !clean; ++attempt) {
+    ++executions;
+    Matrix<half_t> c(shape.m, shape.n);
+    FunctionalOptions opts;
+    if (attempt < 2) opts.faults = {FaultSpec{1, 1, -1, 0x40000000u}};
+    functional_gemm(a, b, c, tile, opts);
+    clean = !abft.check(a, b, c).fault_detected;
+  }
+  EXPECT_TRUE(clean);
+  EXPECT_EQ(executions, 3);  // two faulty attempts, one clean
+}
+
 }  // namespace
 }  // namespace aift

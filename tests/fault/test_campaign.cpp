@@ -9,8 +9,8 @@
 #include "core/checksum.hpp"
 #include "core/error_bound.hpp"
 #include "core/global_abft.hpp"
-#include "core/replication.hpp"
 #include "core/thread_level_abft.hpp"
+#include "../core/replication_oracle.hpp"
 
 namespace aift {
 namespace {
@@ -120,8 +120,8 @@ TEST(Campaign, TraditionalReplicationCatchesAllHighBitFaults) {
   const auto stats = run_campaign(
       cfg, [&](const Matrix<half_t>& a, const Matrix<half_t>& b,
                const Matrix<half_t>& c) {
-        return ThreadReplication(cfg.tile, ReplicationKind::traditional)
-            .check(a, b, c)
+        return testing::replication_oracle(
+                   cfg.tile, testing::ReplicationKind::traditional, a, b, c)
             .fault_detected;
       });
   EXPECT_EQ(stats.missed, 0);
@@ -169,8 +169,8 @@ TEST(Campaign, MidKCoverageOrderingAcrossSchemes) {
   const auto repl = run_campaign(
       cfg, [&](const Matrix<half_t>& a, const Matrix<half_t>& b,
                const Matrix<half_t>& c) {
-        return ThreadReplication(cfg.tile, ReplicationKind::traditional)
-            .check(a, b, c)
+        return testing::replication_oracle(
+                   cfg.tile, testing::ReplicationKind::traditional, a, b, c)
             .fault_detected;
       });
   EXPECT_GE(thread.effective_coverage(), global.effective_coverage());

@@ -9,11 +9,41 @@
 
 #include <numeric>
 
+#include "common/rng.hpp"
 #include "nn/zoo/zoo.hpp"
 #include "runtime/pipeline.hpp"
 
 namespace aift {
 namespace {
+
+// Serial reference engine: trial t draws its layer and fault from its own
+// stream, then runs the session from that layer on the clean activation
+// feeding it, one trial after another with serial GEMMs. The parallel and
+// batched engines must reproduce its stats bit for bit.
+ModelCampaignStats run_model_campaign_serial(const InferenceSession& session,
+                                             const ModelCampaignConfig& cfg) {
+  const auto inputs = session.layer_inputs(session.make_input(cfg.input_seed));
+  const Matrix<half_t> clean =
+      session.run_from(session.num_layers() - 1, inputs.back()).output;
+  ModelCampaignStats stats;
+  stats.faults_per_layer.assign(session.num_layers(), 0);
+  stats.detections_per_layer.assign(session.num_layers(), 0);
+  for (std::int64_t t = 0; t < cfg.trials; ++t) {
+    Rng rng(campaign_trial_seed(cfg.seed, t));
+    const auto layer = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(session.num_layers()) - 1));
+    const auto& entry = session.plan().entries[layer];
+    SessionRunOptions opts;
+    opts.parallel = false;
+    opts.faults = {SessionFault{
+        layer,
+        random_fault(rng, entry.layer.gemm, entry.exec_tile(), cfg.fault_opts),
+        /*execution=*/0}};
+    classify_model_trial(stats, layer,
+                         session.run_from(layer, inputs[layer], opts), clean);
+  }
+  return stats;
+}
 
 class ModelCampaignTest : public ::testing::Test {
  protected:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -72,6 +73,51 @@ TEST(GemmOracle, FaultXorLandsAtItsStepBoundary) {
   Matrix<half_t> got(shape.m, shape.n);
   functional_gemm(a, b, got, tile, opts);
   EXPECT_TRUE(got == testing::gemm_oracle(a, b, tile, opts.faults));
+}
+
+TEST(GemmOracle, Fp16ProductsExactInFp32) {
+  // The oracle and the kernel round each FP16 x FP16 product to FP32 before
+  // adding it. That rounding must be exact, so only the chain's adds round:
+  // two significands of at most 11 bits multiply to at most 22, and the
+  // product's magnitude (2^-48 to below 2^32) stays in FP32's normal range.
+  // Every pair of finite exponent fields (0 = zero and subnormals; 31 is
+  // Inf/NaN), every sign pair, the corner significands and sampled ones.
+  const std::uint16_t corners[] = {0x000, 0x001, 0x200, 0x3FF};
+  Rng rng(21);
+  std::vector<std::uint16_t> a_sig, b_sig;
+  for (const std::uint16_t x : corners) {
+    for (const std::uint16_t y : corners) {
+      a_sig.push_back(x);
+      b_sig.push_back(y);
+    }
+  }
+  for (int i = 0; i < 240; ++i) {
+    a_sig.push_back(static_cast<std::uint16_t>(rng.uniform_int(0, 0x3FF)));
+    b_sig.push_back(static_cast<std::uint16_t>(rng.uniform_int(0, 0x3FF)));
+  }
+  std::int64_t checked = 0;
+  for (std::uint16_t ea = 0; ea < 31; ++ea) {
+    for (std::uint16_t eb = 0; eb < 31; ++eb) {
+      for (int signs = 0; signs < 4; ++signs) {
+        const auto sa = static_cast<std::uint16_t>((signs & 1) << 15);
+        const auto sb = static_cast<std::uint16_t>((signs >> 1) << 15);
+        for (std::size_t i = 0; i < a_sig.size(); ++i) {
+          const half_t a = half_t::from_bits(
+              static_cast<std::uint16_t>(sa | ea << 10 | a_sig[i]));
+          const half_t b = half_t::from_bits(
+              static_cast<std::uint16_t>(sb | eb << 10 | b_sig[i]));
+          const double product = a.to_float() * b.to_float();
+          const double exact = static_cast<double>(a.to_float()) *
+                               static_cast<double>(b.to_float());
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(product),
+                    std::bit_cast<std::uint64_t>(exact))
+              << std::hex << a.bits() << " * " << b.bits();
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 31 * 31 * 4 * (16 + 240));
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ class ContinuousExecutorTest : public ::testing::Test {
 TEST_F(ContinuousExecutorTest, StaggeredAdmissionMatchesStandaloneRuns) {
   for (const auto policy :
        {ProtectionPolicy::none, ProtectionPolicy::global_abft,
-        ProtectionPolicy::thread_level, ProtectionPolicy::repl_single_acc,
+        ProtectionPolicy::thread_level, ProtectionPolicy::thread_two_sided,
         ProtectionPolicy::intensity_guided}) {
     const auto session = make_session(policy);
     const BatchExecutor executor(session);

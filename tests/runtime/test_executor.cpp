@@ -60,7 +60,7 @@ class BatchExecutorTest : public ::testing::Test {
 TEST_F(BatchExecutorTest, BatchMatchesSequentialSessions) {
   for (const auto policy :
        {ProtectionPolicy::none, ProtectionPolicy::global_abft,
-        ProtectionPolicy::thread_level, ProtectionPolicy::repl_single_acc,
+        ProtectionPolicy::thread_level, ProtectionPolicy::thread_two_sided,
         ProtectionPolicy::intensity_guided}) {
     const auto session = make_session(policy);
     const BatchExecutor executor(session);

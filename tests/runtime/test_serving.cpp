@@ -1151,6 +1151,21 @@ TEST_F(ServingTest, RejectsBadConfigurations) {
   EXPECT_THROW((void)threaded.pump(), std::logic_error);
 }
 
+TEST_F(ServingTest, RejectsReplicationPlans) {
+  // Replication plans serialize and load, but no session executes them:
+  // neither an in-memory plan nor a plan artifact registers a shard.
+  ManualClock clock;
+  ServingEngine engine(stepped_options(clock));
+  EXPECT_THROW(
+      engine.add_model("repl", plan(ProtectionPolicy::repl_traditional)),
+      std::logic_error);
+  const std::string path = testing::TempDir() + "aift_serving_repl.plan";
+  save_plan(plan(ProtectionPolicy::repl_single_acc), path);
+  EXPECT_THROW(engine.add_model_from_file("repl", path), std::logic_error);
+  std::remove(path.c_str());
+  EXPECT_TRUE(engine.models().empty());
+}
+
 TEST_F(ServingTest, ThreadedEngineRejectsInjectedClock) {
   // Regression: this combination used to be accepted and silently produced
   // nonsense timing — the batcher thread sleeps in real time against fake

@@ -173,8 +173,7 @@ TEST_F(SessionTest, AllFixedPoliciesExecuteAndRecover) {
   const auto input_seed = 18;
   for (const auto policy :
        {ProtectionPolicy::global_abft, ProtectionPolicy::thread_level,
-        ProtectionPolicy::thread_two_sided, ProtectionPolicy::repl_traditional,
-        ProtectionPolicy::repl_single_acc}) {
+        ProtectionPolicy::thread_two_sided}) {
     const auto session = make_session(policy);
     const auto input = session.make_input(input_seed);
     const auto clean = session.run(input);
@@ -198,6 +197,22 @@ TEST_F(SessionTest, AllFixedPoliciesExecuteAndRecover) {
     const auto result = session.run(input, opts);
     EXPECT_EQ(result.layers[2].detections, 1) << policy_name(policy);
     EXPECT_TRUE(result.output == clean.output) << policy_name(policy);
+  }
+}
+
+TEST_F(SessionTest, ReplicationPoliciesAreRejected) {
+  // Replication plans compile and price, but no session executes them.
+  for (const auto policy : {ProtectionPolicy::repl_traditional,
+                            ProtectionPolicy::repl_single_acc}) {
+    const auto plan = pipe_.plan(model_, policy);
+    try {
+      const InferenceSession session(plan);
+      ADD_FAILURE() << policy_name(policy) << " was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(policy_name(policy)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
